@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .core import DEFAULT_BUDGET, Partition, encode_point
+import numpy as np
+
+from .core import DEFAULT_BUDGET, Partition
 from .errors import (
     AssertionFailure,
     BijectionFailure,
@@ -30,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .free import free_algebra, ground_space, substitute
+from .free import _replay, free_algebra, ground_space, substitute
 from .galois import AffineSubset, Relation, c_operator, v_operator
 
 
@@ -105,10 +107,38 @@ def r_identity(rel):
     return RArrowClass(rel, rel, tuple(range(closure.num_blocks)), witness)
 
 
-def _homomorphism_table(y_space, x_space, witness):
-    """h(p) for every element p of y's free algebra, by clone composition."""
+def _witness_tuples(free, m, budget):
+    """Every m-tuple of elements of free, big-endian over element indices."""
+    if free.size ** m > budget:
+        raise BudgetExceeded(f"{free.size ** m} witness tuples exceed budget {budget}")
+    return list(product(range(free.size), repeat=m))
+
+
+def _homomorphism_table(y_space, x_space, witnesses):
+    """h(p) for every element p of y's free algebra (rows) and every
+    generator-image tuple of witnesses (columns), by clone composition."""
     fm, fn = y_space.free, x_space.free
-    return tuple(substitute(fm, p, witness, fn) for p in range(fm.size))
+    images = np.array(witnesses, dtype=np.int64).reshape(len(witnesses), fm.arity)
+    return _replay(fm, fn.as_algebra(), images.T)
+
+
+def _point_images(space, points, witnesses):
+    """Codes of the points (w_1(a), .., w_m(a)) of the ground, one row per
+    witness tuple (w_1, .., w_m), one column per point a of points."""
+    cols = space.ev[:, list(points)]
+    codes = np.zeros((len(witnesses), len(points)), dtype=np.int64)
+    for w in np.array(witnesses, dtype=np.int64).T:
+        codes = codes * space.ground.size + cols[w]
+    return codes
+
+
+def _induced_map(src, dst, witness, error):
+    """The definable map src -> dst of a generator-image tuple; error is
+    raised when an image leaves dst."""
+    images = tuple(_point_images(src.space, src.points, [witness])[0].tolist())
+    if not set(images) <= set(dst.points):
+        raise error
+    return DArrowClass(src, dst, images, witness)
 
 
 def _carries(pairs_set, hp, hq):
@@ -119,7 +149,7 @@ def _make_rarrow(x, y, witness, h=None):
     """Build the arrow class for a generator-image tuple, verifying the
     relation is carried; returns None when it is not."""
     if h is None:
-        h = _homomorphism_table(y.space, x.space, witness)
+        h = _homomorphism_table(y.space, x.space, [witness])[:, 0].tolist()
     xpairs = set(x.pairs)
     for p, q in y.pairs:
         if not _carries(xpairs, h[p], h[q]):
@@ -143,28 +173,14 @@ def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
     if not _same_context(src.space, dst.space):
         raise ValidationError("arrows need a common ground and generator")
     src.space.require_ok(src.points)
-    fn = src.space.free
-    m = dst.space.arity
-    ka = dst.space.ground.size
-    if fn.size ** m > budget:
-        raise BudgetExceeded(f"{fn.size ** m} witness tuples exceed budget {budget}")
-    dst_set = set(dst.points)
+    witnesses = _witness_tuples(src.space.free, dst.space.arity, budget)
+    images = _point_images(src.space, src.points, witnesses)
+    inside = np.isin(images, dst.points).all(axis=1)
     out = {}
-    ev = src.space.ev
-    for witness in product(range(fn.size), repeat=m):
-        images = []
-        ok = True
-        for a in src.points:
-            b = encode_point([int(ev[w, a]) for w in witness], ka)
-            if b not in dst_set:
-                ok = False
-                break
-            images.append(b)
-        if not ok:
-            continue
-        images = tuple(images)
-        if images not in out:
-            out[images] = DArrowClass(src, dst, images, witness)
+    for witness, row, ok in zip(witnesses, images.tolist(), inside):
+        row = tuple(row)
+        if ok and row not in out:
+            out[row] = DArrowClass(src, dst, row, witness)
     return tuple(out.values())
 
 
@@ -173,13 +189,11 @@ def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
     tuple that realizes each factorized map."""
     if not _same_context(x.space, y.space):
         raise ValidationError("arrows need a common ground and generator")
-    fn = x.space.free
-    m = y.space.arity
-    if fn.size ** m > budget:
-        raise BudgetExceeded(f"{fn.size ** m} witness tuples exceed budget {budget}")
+    witnesses = _witness_tuples(x.space.free, y.space.arity, budget)
+    table = _homomorphism_table(y.space, x.space, witnesses)
     out = {}
-    for witness in product(range(fn.size), repeat=m):
-        arrow = _make_rarrow(x, y, witness)
+    for witness, h in zip(witnesses, table.T.tolist()):
+        arrow = _make_rarrow(x, y, witness, h)
         if arrow is not None and arrow.class_map not in out:
             out[arrow.class_map] = arrow
     return tuple(out.values())
@@ -212,18 +226,10 @@ def vq_object(rel):
 
 def vq_arrow(r):
     """The definable map induced by a relation arrow (same witness)."""
-    src = vq_object(r.source)
-    dst = vq_object(r.target)
-    ka = src.space.ground.size
-    ev = src.space.ev
-    dst_set = set(dst.points)
-    images = []
-    for a in src.points:
-        b = encode_point([int(ev[w, a]) for w in r.witness], ka)
-        if b not in dst_set:
-            raise AssertionFailure("induced map left the target point set")
-        images.append(b)
-    return DArrowClass(src, dst, tuple(images), r.witness)
+    return _induced_map(
+        vq_object(r.source), vq_object(r.target), r.witness,
+        AssertionFailure("induced map left the target point set"),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -241,17 +247,10 @@ class AdjunctionReport:
 def _phi(subset, y, arrow):
     """The correspondence hom(C^q S, y) -> hom(S, V(y)): restrict the
     witness-induced map to the points."""
-    dst = vq_object(y)
-    ka = subset.space.ground.size
-    ev = subset.space.ev
-    dst_set = set(dst.points)
-    images = []
-    for a in subset.points:
-        b = encode_point([int(ev[w, a]) for w in arrow.witness], ka)
-        if b not in dst_set:
-            raise BijectionFailure("correspondence image left V(y)")
-        images.append(b)
-    return DArrowClass(subset, dst, tuple(images), arrow.witness)
+    return _induced_map(
+        subset, vq_object(y), arrow.witness,
+        BijectionFailure("correspondence image left V(y)"),
+    )
 
 
 def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
@@ -335,17 +334,15 @@ def check_stability(rel):
     """A relation is translation-stable when composing both sides of any
     pair with any unary term function lands back in the relation (reflexive
     images count). Congruence-derived relations always are."""
-    space = rel.space
-    unary = free_algebra(space.free.generator, 1)
-    pairs = set(rel.pairs)
-    for p, q in rel.pairs:
-        for u in range(unary.size):
-            table = unary.elements[u].table
-            up = space.free.apply_unary(table, p)
-            uq = space.free.apply_unary(table, q)
-            if not _carries(pairs, up, uq):
-                return False
-    return True
+    free = rel.space.free
+    unary = free_algebra(free.generator, 1)
+    # translate[u, p] is u(p): the unary term functions replayed in F(n)
+    # with x0 sent to every element at once
+    translate = _replay(unary, free.as_algebra(), np.arange(free.size)[None])
+    carried = np.eye(free.size, dtype=bool)
+    p, q = np.array(rel.pairs, dtype=np.int64).reshape(len(rel.pairs), 2).T
+    carried[p, q] = True
+    return bool(carried[translate[:, p], translate[:, q]].all())
 
 
 def representability_check(x, stable=False, budget=DEFAULT_BUDGET):

@@ -1,26 +1,30 @@
 """Free algebras as clones of term functions, plus evaluation of their
-elements over a chosen ground algebra.
+elements in any algebra of the signature.
 
 The free algebra on n generators over G is materialized as the set of all
 n-ary term functions G^n -> G, discovered breadth-first: projections first,
 then rounds applying each operation (in signature order) to every tuple of
 already-known elements (in big-endian index order, operands frozen at the
 round start). Each element keeps the first term that produced it, which is
-automatically one of minimal depth.
+automatically one of minimal depth, together with its recipe: the operation
+and the operand indices of that term. The last round finds nothing new, so
+the element indices it computes are the operation tables of F(n).
 
-Evaluating elements over a different ground algebra A uses the graph
-construction: close the pairs (x_i, i-th coordinate function on A^n) under
-all operations inside F x A^(A^n). Evaluation at a point is well defined
-exactly when no element picks up two rows that disagree at that point; the
-per-point graphs are coordinate projections of this single closure, so one
-sweep serves every point at once.
+Replaying the recipes in witness order, out[p] = f(out[o1], .., out[or]),
+evaluates every element in any algebra of the signature from images of the
+generators, over a trailing batch axis. Ground evaluation (the images are
+the coordinates of every point of A^n), clone substitution (the images are
+elements of another free algebra) and unary translation all go through this
+one evaluator. Evaluation at a point a of A^n is well defined exactly when
+the replayed column ev[:, a] is a homomorphism F(n) -> A sending each
+generator x_i to a_i; it is then the only one, as F(n) is generated by the
+x_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -41,6 +45,30 @@ from .errors import (
 )
 
 
+def _frozen(array):
+    """Mark an array read-only; cached results are shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
+def _coordinates(k, n):
+    """coords[i, a] is the i-th coordinate of the point of {0..k-1}^n coded a."""
+    codes = np.arange(k ** n)
+    return np.array(
+        [(codes // k ** (n - 1 - i)) % k for i in range(n)], dtype=np.int64
+    ).reshape(n, k ** n)
+
+
+def _apply_all(table, values, r):
+    """An r-ary operation table applied to every r-tuple of rows of values
+    (shape (m, *batch)): entry [p1, .., pr] is table[values[p1], .., values[pr]]."""
+    m = len(values)
+    return table[tuple(
+        values.reshape((1,) * j + (m,) + (1,) * (r - 1 - j) + values.shape[1:])
+        for j in range(r)
+    )]
+
+
 @dataclass(frozen=True)
 class TermFunction:
     """An element of a free algebra: a value table over all points of G^n,
@@ -57,15 +85,25 @@ class TermFunction:
 
 
 class FreeAlgebra:
-    """The clone of n-ary term functions over a generator algebra."""
+    """The clone of n-ary term functions over a generator algebra.
 
-    def __init__(self, generator, arity, elements, var_positions):
+    recipes[p] is (s, operands) when element p was first found as symbol
+    number s applied to the elements operands, or (None, (i,)) for x_i;
+    tables[s] is the read-only table of symbol number s on element indices,
+    of shape (size,) * arity of the symbol."""
+
+    def __init__(self, generator, arity, elements, var_positions, recipes, tables):
         self.generator = generator
         self.arity = arity
         self.elements = elements
         self.var_positions = var_positions
-        self._index = {e.table: i for i, e in enumerate(elements)}
-        self._cache = {}
+        self._recipes = recipes
+        self._tables = tables
+        self._matrix = _frozen(np.array(
+            [e.table for e in elements], dtype=np.int64
+        ).reshape(len(elements), generator.size ** arity))
+        self._index = {row.tobytes(): i for i, row in enumerate(self._matrix)}
+        self._algebra = None
 
     @property
     def size(self):
@@ -76,10 +114,10 @@ class FreeAlgebra:
         return self.generator.signature
 
     def index_of_table(self, table):
-        table = tuple(int(v) for v in table)
-        if table not in self._index:
+        key = np.asarray(table, dtype=np.int64).tobytes()
+        if key not in self._index:
             raise ValidationError("value table is not a term function here")
-        return self._index[table]
+        return self._index[key]
 
     def var(self, i):
         if not 0 <= i < self.arity:
@@ -87,51 +125,38 @@ class FreeAlgebra:
         return self.var_positions[i]
 
     def table_matrix(self):
-        """Element value tables stacked into an array (size x |G|^arity)."""
-        if "matrix" not in self._cache:
-            npoints = self.generator.size ** self.arity
-            m = np.zeros((self.size, npoints), dtype=np.int64)
-            for i, e in enumerate(self.elements):
-                m[i] = e.table
-            self._cache["matrix"] = m
-        return self._cache["matrix"]
+        """Element value tables stacked into a read-only array
+        (size x |G|^arity)."""
+        return self._matrix
 
     def as_algebra(self):
         """The free algebra as a FiniteAlgebra on element indices, with
         operations acting pointwise."""
-        if "algebra" not in self._cache:
-            k = self.generator.size
-            m = self.size
-            mat = self.table_matrix()
-            lookup = {e.table: i for i, e in enumerate(self.elements)}
-            tables = []
-            for sym, r in self.signature.symbols:
-                if r == 0:
-                    row = np.full(mat.shape[1], self.generator.table(sym)[0])
-                    tables.append((lookup[tuple(int(v) for v in row)],))
-                    continue
-                t = self.generator.np_table(sym)
-                flat = []
-                for args in product(range(m), repeat=r):
-                    row = t[tuple(mat[a] for a in args)]
-                    flat.append(lookup[tuple(int(v) for v in row)])
-                tables.append(tuple(flat))
-            self._cache["algebra"] = FiniteAlgebra(
+        if self._algebra is None:
+            self._algebra = FiniteAlgebra(
                 self.signature,
-                m,
-                tuple(tables),
+                self.size,
+                tuple(tuple(t.ravel().tolist()) for t in self._tables),
                 name=f"F_{self.generator.name or 'G'}({self.arity})",
             )
-        return self._cache["algebra"]
-
-    def apply_unary(self, unary_table, p):
-        """Index of u∘p where u is a unary term function over G (given as
-        its |G|-entry table) and p an element index."""
-        row = tuple(unary_table[v] for v in self.elements[p].table)
-        return self._index[row]
+        return self._algebra
 
     def witness_term(self, p):
         return self.elements[p].witness
+
+
+def _replay(free, target, images):
+    """Every element of free evaluated in target, an algebra of the same
+    signature, from generator images of shape (arity, *batch): out[p] has
+    shape batch and is computed from p's recipe in witness order."""
+    tables = [target.np_table(sym) for sym in target.signature.names]
+    out = np.empty((free.size,) + images.shape[1:], dtype=np.int64)
+    for p, (s, operands) in enumerate(free._recipes):
+        if s is None:
+            out[p] = images[operands[0]]
+        else:
+            out[p] = tables[s][tuple(out[o] for o in operands)]
+    return out
 
 
 def free_algebra(generator, arity, budget=DEFAULT_BUDGET):
@@ -144,73 +169,63 @@ def free_algebra(generator, arity, budget=DEFAULT_BUDGET):
 
 @lru_cache(maxsize=None)
 def _free_cached(generator, arity, budget):
-    k = generator.size
-    npoints = k ** arity
-    codes = np.arange(npoints)
-
+    npoints = generator.size ** arity
     rows = []
     witnesses = []
-    index = {}
-    var_positions = []
+    recipes = []
+    index = {}  # row bytes -> element index
 
-    def add(row, witness):
-        key = tuple(int(v) for v in row)
-        if key in index:
-            return index[key]
-        if len(rows) >= budget:
-            raise BudgetExceeded(f"free algebra exceeds budget {budget}")
-        index[key] = len(rows)
-        rows.append(np.asarray(row, dtype=np.int64))
-        witnesses.append(witness)
+    def intern(key, row, witness, recipe):
+        if key not in index:
+            if len(rows) >= budget:
+                raise BudgetExceeded(f"free algebra exceeds budget {budget}")
+            index[key] = len(rows)
+            rows.append(row)
+            witnesses.append(witness)
+            recipes.append(recipe)
         return index[key]
 
-    for i in range(arity):
-        row = (codes // k ** (arity - 1 - i)) % k
-        var_positions.append(add(row, Var(i)))
+    var_positions = tuple(
+        intern(row.tobytes(), row, Var(i), (None, (i,)))
+        for i, row in enumerate(_coordinates(generator.size, arity))
+    )
 
     while True:
         frozen = len(rows)
-        stacked = np.stack(rows) if rows else np.zeros((0, npoints), dtype=np.int64)
-        for sym, r in generator.signature.symbols:
+        stacked = np.array(rows, dtype=np.int64).reshape(frozen, npoints)
+        tables = []
+        for s, (sym, r) in enumerate(generator.signature.symbols):
             if r == 0:
-                add(np.full(npoints, generator.table(sym)[0]), App(sym))
-                continue
-            if frozen == 0:
+                row = np.full(npoints, generator.table(sym)[0], dtype=np.int64)
+                p = intern(row.tobytes(), row, App(sym), (s, ()))
+                tables.append(_frozen(np.array(p)))
                 continue
             if frozen ** r > budget:
                 raise BudgetExceeded(
                     f"operand tuples for {sym!r} exceed budget {budget}"
                 )
-            t = generator.np_table(sym)
-            grid = np.arange(frozen ** r)
-            arg_idx = []
-            rest = grid
-            for _ in range(r):
-                arg_idx.append(rest % frozen)
-                rest = rest // frozen
-            arg_idx.reverse()
-            cand = t[tuple(stacked[ai] for ai in arg_idx)]
-            uniq, first = np.unique(cand, axis=0, return_index=True)
-            for pos in np.argsort(first):
-                key = tuple(int(v) for v in uniq[pos])
-                if key in index:
-                    continue
-                g = int(first[pos])
-                operands = []
-                rest = g
-                for _ in range(r):
-                    operands.append(rest % frozen)
-                    rest = rest // frozen
-                operands.reverse()
-                add(uniq[pos], App(sym, tuple(witnesses[o] for o in operands)))
+            shape = (frozen,) * r
+            cand = _apply_all(generator.np_table(sym), stacked, r).reshape(-1, npoints)
+            keys = cand.view(np.dtype((np.void, cand.itemsize * npoints)))
+            found = np.empty(len(cand), dtype=np.int64)
+            for g, key in enumerate(keys.ravel().tolist()):
+                p = index.get(key)
+                if p is None:
+                    operands = tuple(int(o) for o in np.unravel_index(g, shape))
+                    witness = App(sym, tuple(witnesses[o] for o in operands))
+                    p = intern(key, cand[g].copy(), witness, (s, operands))
+                found[g] = p
+            tables.append(_frozen(found.reshape(shape)))
         if len(rows) == frozen:
             break
 
     elements = tuple(
-        TermFunction(arity, tuple(int(v) for v in row), wit)
+        TermFunction(arity, tuple(row.tolist()), wit)
         for row, wit in zip(rows, witnesses)
     )
-    return FreeAlgebra(generator, arity, elements, tuple(var_positions))
+    return FreeAlgebra(
+        generator, arity, elements, var_positions, tuple(recipes), tuple(tables)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +235,8 @@ def _free_cached(generator, arity, budget):
 class GroundSpace:
     """A free algebra together with a ground algebra and the full evaluation
     matrix: ev[p, a] is the value of element p at the point of A^n coded a.
-    point_ok[a] says whether evaluation at a is well defined."""
+    point_ok[a] says whether evaluation at a is well defined. Both arrays
+    are read-only."""
 
     def __init__(self, free, ground, ev, point_ok):
         self.free = free
@@ -264,76 +280,24 @@ def ground_space(generator, ground, arity, budget=DEFAULT_BUDGET):
 @lru_cache(maxsize=None)
 def _ground_cached(generator, ground, arity, budget):
     free = free_algebra(generator, arity, budget)
-    npoints = ground.size ** arity
-
-    if ground == generator:
-        ev = free.table_matrix().copy()
-        return GroundSpace(free, ground, ev, np.ones(npoints, dtype=bool))
-
-    falg = free.as_algebra()
-    ka = ground.size
-
-    seeds = []
-    for i in range(arity):
-        row = tuple(
-            (c // ka ** (arity - 1 - i)) % ka for c in range(npoints)
-        )
-        seeds.append((free.var(i), row))
-
-    pairs = []
-    seen = set()
-
-    def add(pair):
-        if pair in seen:
-            return
-        if len(pairs) >= budget:
-            raise BudgetExceeded(f"graph closure exceeds budget {budget}")
-        seen.add(pair)
-        pairs.append(pair)
-
-    for s in seeds:
-        add(s)
-    while True:
-        frozen = len(pairs)
-        for sym, r in generator.signature.symbols:
-            if r == 0:
-                fval = falg.table(sym)[0]
-                row = tuple(ground.table(sym)[0] for _ in range(npoints))
-                add((fval, row))
-                continue
-            if frozen == 0:
-                continue
-            gtab = ground.np_table(sym)
-            for args in product(pairs[:frozen], repeat=r):
-                fval = falg.op(sym, tuple(p[0] for p in args))
-                rows = tuple(np.asarray(p[1]) for p in args)
-                row = tuple(int(v) for v in gtab[rows])
-                add((fval, row))
-        if len(pairs) == frozen:
-            break
-
-    rows_by_elem = {}
-    for fval, row in pairs:
-        rows_by_elem.setdefault(fval, []).append(row)
-
-    ev = np.zeros((free.size, npoints), dtype=np.int64)
-    point_ok = np.ones(npoints, dtype=bool)
-    for p in range(free.size):
-        got = rows_by_elem.get(p)
-        if not got:
-            # unreachable: the free algebra is generated by its projections
-            raise AssertionError("free element missed by the graph closure")
-        ev[p] = got[0]
-        for other in got[1:]:
-            for a in range(npoints):
-                if other[a] != got[0][a]:
-                    point_ok[a] = False
-    return GroundSpace(free, ground, ev, point_ok)
+    coords = _coordinates(ground.size, arity)
+    ev = _replay(free, ground, coords)
+    # column a is a homomorphism sending x_i to a_i: check the generators,
+    # then every operation on every operand tuple at once
+    point_ok = np.ones(coords.shape[1], dtype=bool)
+    for i, p in enumerate(free.var_positions):
+        point_ok &= ev[p] == coords[i]
+    for (sym, r), table in zip(generator.signature.symbols, free._tables):
+        agree = ev[table] == _apply_all(ground.np_table(sym), ev, r)
+        point_ok &= agree.all(axis=tuple(range(r)))
+    return GroundSpace(free, ground, _frozen(ev), _frozen(point_ok))
 
 
 def verify_ground(ground, generator, arity, budget=DEFAULT_BUDGET):
     """Is evaluation of every free element well defined at every point of
-    ground^arity? True exactly when the graph closure is functional."""
+    ground^arity? True exactly when every column of the witness-order
+    evaluation is a homomorphism F(n) -> ground sending x_i to the point's
+    i-th coordinate."""
     return ground_space(generator, ground, arity, budget).ok
 
 
@@ -381,15 +345,5 @@ def substitute(free_src, p, images, free_dst):
         raise VariableOutOfRange(
             f"{len(images)} images for {free_src.arity} generators"
         )
-    k = free_dst.generator.size
-    npoints = k ** free_dst.arity
-    ptab = np.asarray(free_src.elements[p].table, dtype=np.int64)
-    if free_src.arity == 0:
-        codes = np.zeros(npoints, dtype=np.int64)
-    else:
-        w = free_dst.table_matrix()[list(images)]
-        codes = np.zeros(npoints, dtype=np.int64)
-        for j in range(free_src.arity):
-            codes = codes * k + w[j]
-    row = ptab[codes]
-    return free_dst.index_of_table(row)
+    images = np.asarray(images, dtype=np.int64)
+    return int(_replay(free_src, free_dst.as_algebra(), images)[p])

@@ -197,13 +197,10 @@ def radical_of_partition(space, part):
 
 def radical(rel):
     """The radical of a relation: the congruence of all pairs that evaluate
-    equally on V(rel)."""
+    equally on V(rel). V(rel) is V of rel's equivalence closure, since
+    evaluating equally is an equivalence."""
     space = rel.space
-    pts = v_operator(rel).points
-    acc = Partition.total(space.free.size)
-    for a in pts:
-        acc = acc.meet(point_kernel(space, a))
-    return acc
+    return radical_of_partition(space, Partition.from_pairs(space.free.size, rel.pairs))
 
 
 # --------------------------------------------------------------------------

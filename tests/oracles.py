@@ -263,6 +263,75 @@ def brute_v(ev_rows, npoints, pairs):
     )
 
 
+def free_as_algebra(ops, k, n):
+    """The free algebra on n generators as (ops dict, size) on the sorted
+    value tables of brute_clone, operations acting pointwise."""
+    npoints = k ** n
+    elems = sorted(brute_clone(ops, k, n))
+    index = {t: i for i, t in enumerate(elems)}
+    out_ops = {}
+    for name, (arity, table) in ops.items():
+        if arity == 0:
+            const = tuple(table[0] for _ in range(npoints))
+            out_ops[name] = (0, (index[const],))
+        else:
+            flat = []
+            for args in product(elems, repeat=arity):
+                flat.append(index[apply_op(table, k, args, npoints)])
+            out_ops[name] = (arity, tuple(flat))
+    return out_ops, len(elems)
+
+
+def graph_closure_ground(free, ground):
+    """Evaluation of a package free algebra over a ground algebra by the
+    graph construction: close the pairs (x_i, i-th coordinate function on
+    A^n) under all operations inside F x A^(A^n). Evaluation at a point is
+    well defined exactly when no element picks up two rows that disagree at
+    that point. Returns (ev, point_ok) as lists; ev[p] is the first row
+    found for element p."""
+    falg = free.as_algebra()
+    arity = free.arity
+    ka = ground.size
+    npoints = ka ** arity
+
+    pairs = []
+    seen = set()
+
+    def add(pair):
+        if pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+
+    for i in range(arity):
+        row = tuple((c // ka ** (arity - 1 - i)) % ka for c in range(npoints))
+        add((free.var(i), row))
+    while True:
+        frozen = len(pairs)
+        for sym, r in ground.signature.symbols:
+            if r == 0:
+                add((falg.table(sym)[0], tuple(ground.table(sym)[0] for _ in range(npoints))))
+                continue
+            for args in product(pairs[:frozen], repeat=r):
+                fval = falg.op(sym, tuple(p[0] for p in args))
+                add((fval, apply_op(ground.table(sym), ka, [p[1] for p in args], npoints)))
+        if len(pairs) == frozen:
+            break
+
+    rows_by_elem = {}
+    for fval, row in pairs:
+        rows_by_elem.setdefault(fval, []).append(row)
+    ev = []
+    point_ok = [True] * npoints
+    for p in range(falg.size):
+        got = rows_by_elem[p]
+        ev.append(list(got[0]))
+        for other in got[1:]:
+            for a in range(npoints):
+                if other[a] != got[0][a]:
+                    point_ok[a] = False
+    return ev, point_ok
+
+
 # Operation tables for the builtin two-element and cyclic algebras,
 # written out longhand so nothing is shared with the package.
 BOOL2 = {
@@ -324,23 +393,6 @@ if __name__ == "__main__":
             for b0, b1 in ((0, 1), (1, 0), (0, 0), (1, 1))
         )),
     }
-    # simpler: reuse brute_clone pointwise machinery via small helper below
-    def free_as_algebra(ops, k, n):
-        npoints = k ** n
-        elems = sorted(brute_clone(ops, k, n))
-        index = {t: i for i, t in enumerate(elems)}
-        out_ops = {}
-        for name, (arity, table) in ops.items():
-            if arity == 0:
-                const = tuple(table[0] for _ in range(npoints))
-                out_ops[name] = (0, (index[const],))
-            else:
-                flat = []
-                for args in product(elems, repeat=arity):
-                    flat.append(index[apply_op(table, k, args, npoints)])
-                out_ops[name] = (arity, tuple(flat))
-        return out_ops, len(elems)
-
     for label, ops, k, n in [
         ("bool2 F(1)", BOOL2, 2, 1),
         ("semilat2 F(1)", SEMILAT2, 2, 1),

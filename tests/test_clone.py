@@ -1,0 +1,234 @@
+"""The clone layer: F(n)'s operation tables come from the free-algebra BFS,
+and one witness-order evaluator serves ground evaluation, substitution and
+the batched hom tables of the adjunction.
+
+Builtin results are pinned to frozen digests (sha256 of the canonical JSON)
+recorded from the earlier routes: a pointwise re-evaluation for the
+operation tables, the graph closure for ground evaluation and a scalar row
+lookup for substitution. Random small algebras are checked against the
+brute-force oracles.
+"""
+
+import hashlib
+import json
+from itertools import product
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from affinekit.adjunction import _homomorphism_table
+from affinekit.core import (
+    FiniteAlgebra,
+    all_congruences,
+    generate_subuniverse,
+    power_algebra,
+    quotient_algebra,
+)
+from affinekit.free import free_algebra, ground_space, substitute
+from affinekit.galois import AffineSubset, c_operator
+from affinekit.instances import builtin
+
+import oracles
+from test_core import _ops_dict
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj, default=int).encode()).hexdigest()[:16]
+
+
+FREE_DIGESTS = {
+    # element tables in order, term_string() witnesses, as_algebra().tables
+    ("bool2", 3): "146e583bdcd99c5f",
+    ("z4", 3): "3fe13b84c4aeea34",
+    ("distlat2", 3): "8e68d8443d7094c6",
+    ("semilat2", 4): "14e0fb57b5c87b87",
+    ("z2", 3): "765630520c3e362f",
+    ("z4", 2): "e4bc9783d9c3508b",
+}
+
+
+def xor2():
+    """A ground in the semilattice signature outside its variety."""
+    return FiniteAlgebra.make(2, [("and", 2, (0, 1, 1, 0))], name="xor")
+
+
+def trivial_semilattice():
+    """Its free algebras have one element, so x0 = x1 there."""
+    return FiniteAlgebra.make(1, [("and", 2, (0,))], name="trivial")
+
+
+GROUND_CASES = [
+    # (generator, ground, arity, points where evaluation is well defined)
+    *[(builtin("z4"), builtin("z2-in-z4"), n, 2 ** n) for n in range(1, 5)],
+    (builtin("bool2"), builtin("bool2"), 3, 8),
+    (builtin("z4"), builtin("z4"), 3, 64),
+    (builtin("distlat2"), builtin("distlat2"), 3, 8),
+    (builtin("semilat2"), xor2(), 2, 1),
+    (builtin("semilat2"), xor2(), 3, 1),
+    (builtin("z2"), builtin("z4"), 1, 2),
+    (trivial_semilattice(), builtin("semilat2"), 2, 2),
+]
+
+SUBSTITUTION_DIGESTS = {
+    # substitute(F(ns), p, w, F(nd)) for every witness tuple w (rows) and
+    # element p (columns)
+    ("bool2", 1, 1): "7d90117c1fb1a0b2",
+    ("bool2", 1, 2): "c699be14254af1f6",
+    ("bool2", 2, 1): "95e3610a4e1cf048",
+    ("bool2", 2, 2): "3c2345addc949c01",
+    ("z4", 1, 1): "d58ef2a052f3cc03",
+    ("z4", 1, 2): "0c9f9a38a86d0a69",
+    ("z4", 2, 1): "9c1aef4bf7cd1a65",
+    ("z4", 2, 2): "9df6ff16b7e78fd5",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(FREE_DIGESTS))
+def test_free_algebra_matches_frozen_digest(name, n):
+    f = free_algebra(builtin(name), n)
+    got = digest([
+        [e.table for e in f.elements],
+        [e.term_string() for e in f.elements],
+        f.as_algebra().tables,
+    ])
+    assert got == FREE_DIGESTS[name, n]
+
+
+@pytest.mark.parametrize("generator, ground, n, ok_points", GROUND_CASES)
+def test_ground_evaluation_matches_graph_closure(generator, ground, n, ok_points):
+    gs = ground_space(generator, ground, n)
+    ev, point_ok = oracles.graph_closure_ground(gs.free, ground)
+    assert gs.ev.tolist() == ev
+    assert gs.point_ok.tolist() == point_ok
+    assert sum(point_ok) == ok_points
+
+
+@pytest.mark.parametrize("name, ns, nd", sorted(SUBSTITUTION_DIGESTS))
+def test_homomorphism_table_matches_pointwise_composition(name, ns, nd):
+    g = builtin(name)
+    ys, xs = ground_space(g, g, ns), ground_space(g, g, nd)
+    fs, fd = ys.free, xs.free
+    witnesses = list(product(range(fd.size), repeat=ns))
+    table = _homomorphism_table(ys, xs, witnesses)
+    assert table.shape == (fs.size, len(witnesses))
+    for column, w in zip(table.T.tolist(), witnesses):
+        inner = [fd.elements[i].table for i in w]
+        assert column == [
+            fd.index_of_table(
+                oracles.apply_op(e.table, g.size, inner, g.size ** nd)
+            )
+            for e in fs.elements
+        ]
+    assert digest(table.T.tolist()) == SUBSTITUTION_DIGESTS[name, ns, nd]
+
+
+def test_cached_arrays_are_read_only():
+    g = builtin("bool2")
+    gs = ground_space(g, g, 1)
+    for array in (gs.ev, gs.point_ok, gs.free.table_matrix(), *gs.free._tables):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+    fresh = ground_space(builtin("bool2"), builtin("bool2"), 1)
+    assert c_operator(AffineSubset.of(fresh, [0])).labels == (0, 1, 0, 1)
+
+
+# --------------------------------------------------------------------------
+# random algebras against the brute-force oracles
+
+MAX_ARITY = {1: 3, 2: 2, 3: 1}  # keeps |G|^n <= 4, so every clone is small
+
+OP_ARITIES = {
+    "mixed": st.integers(0, 2),
+    "no constants": st.integers(1, 2),
+    "unary only": st.just(1),
+    "nullary only": st.just(0),
+}
+
+
+def table_of(draw, k, r):
+    return tuple(draw(st.lists(st.integers(0, k - 1), min_size=k ** r, max_size=k ** r)))
+
+
+@st.composite
+def generators(draw):
+    """A 1-3 element algebra with a random signature of one of four shapes,
+    and an arity n; no constants with n = 0 gives an empty F(0)."""
+    k = draw(st.integers(1, 3))
+    arities = draw(st.lists(OP_ARITIES[draw(st.sampled_from(sorted(OP_ARITIES)))],
+                            min_size=1, max_size=3))
+    ops = [(f"f{i}", r, table_of(draw, k, r)) for i, r in enumerate(arities)]
+    return FiniteAlgebra.make(k, ops, name="G"), draw(st.integers(0, MAX_ARITY[k]))
+
+
+@st.composite
+def grounds(draw, g, n):
+    """A ground of g's signature: g itself, a subalgebra, a quotient or the
+    square (inside the variety), or random tables (mostly outside it)."""
+    kind = draw(st.sampled_from(["self", "subalgebra", "quotient", "square", "random"]))
+    if kind == "subalgebra":
+        seeds = draw(st.sets(st.integers(0, g.size - 1), min_size=1))
+        carrier = generate_subuniverse(g, seeds)
+        pos = {a: i for i, a in enumerate(carrier)}
+        ops = [
+            (sym, r, tuple(pos[tab[oracles.encode(args, g.size)]]
+                           for args in product(carrier, repeat=r)))
+            for (sym, r), tab in zip(g.signature.symbols, g.tables)
+        ]
+        return FiniteAlgebra.make(len(carrier), ops), True
+    if kind == "quotient":
+        theta = draw(st.sampled_from(all_congruences(g)))
+        return quotient_algebra(g, theta)[0], True
+    if kind == "square" and g.size ** (2 * n) <= 16:
+        return power_algebra(g, 2), True
+    if kind == "random":
+        # |A|^n <= 4 keeps the graph closure's pair set small
+        ka = draw(st.integers(1, max(a for a in (1, 2, 3) if a ** n <= 4)))
+        ops = [(sym, r, table_of(draw, ka, r)) for sym, r in g.signature.symbols]
+        return FiniteAlgebra.make(ka, ops), False
+    return g, True
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=2000, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_bfs_tables_and_substitution_match_oracles(data):
+    g, n = data.draw(generators())
+    k = g.size
+    f = free_algebra(g, n)
+    ops, size = oracles.free_as_algebra(_ops_dict(g), k, n)
+    assert size == f.size
+    # the oracle numbers elements by sorted table; carry ours across
+    order = sorted(e.table for e in f.elements)
+    perm = [order.index(e.table) for e in f.elements]
+    falg = f.as_algebra()
+    for (sym, r), tab in zip(g.signature.symbols, falg.tables):
+        want = ops[sym][1]
+        for i, args in enumerate(product(range(f.size), repeat=r)):
+            assert perm[tab[i]] == want[oracles.encode([perm[a] for a in args], size)]
+
+    n_dst = data.draw(st.integers(0, MAX_ARITY[k]))
+    dst = free_algebra(g, n_dst)
+    if f.size and (dst.size or not n):
+        p = data.draw(st.integers(0, f.size - 1))
+        images = data.draw(st.lists(st.integers(0, dst.size - 1), min_size=n, max_size=n))
+        inner = [dst.elements[i].table for i in images]
+        want = oracles.apply_op(f.elements[p].table, k, inner, k ** n_dst)
+        assert dst.elements[substitute(f, p, images, dst)].table == want
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_ground_evaluation_matches_graph_closure_on_random_algebras(data):
+    g, n = data.draw(generators())
+    ground, in_variety = data.draw(grounds(g, n))
+    gs = ground_space(g, ground, n)
+    ev, point_ok = oracles.graph_closure_ground(gs.free, ground)
+    assert gs.ev.tolist() == ev
+    assert gs.point_ok.tolist() == point_ok
+    if in_variety:
+        assert gs.ok
