@@ -226,8 +226,14 @@ def vq_object(rel):
 
 def vq_arrow(r):
     """The definable map induced by a relation arrow (same witness)."""
+    return _vq_map(vq_object(r.source), vq_object(r.target), r)
+
+
+def _vq_map(source, target, r):
+    """vq_arrow(r) between the already computed V(r.source) and
+    V(r.target)."""
     return _induced_map(
-        vq_object(r.source), vq_object(r.target), r.witness,
+        source, target, r.witness,
         AssertionFailure("induced map left the target point set"),
     )
 
@@ -244,11 +250,11 @@ class AdjunctionReport:
     natural_ok: bool
 
 
-def _phi(subset, y, arrow):
-    """The correspondence hom(C^q S, y) -> hom(S, V(y)): restrict the
-    witness-induced map to the points."""
+def _phi(subset, vy, arrow):
+    """The correspondence hom(C^q S, y) -> hom(S, V(y)), vy = V(y):
+    restrict the witness-induced map to the points."""
     return _induced_map(
-        subset, vq_object(y), arrow.witness,
+        subset, vy, arrow.witness,
         BijectionFailure("correspondence image left V(y)"),
     )
 
@@ -261,10 +267,11 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     if not _same_context(space, y.space):
         raise ValidationError("adjunction needs a common ground and generator")
     x = cq_object(subset)
+    vy = vq_object(y)
     lhs = hom_set_rq(x, y, budget)
-    rhs = hom_set_dq(subset, vq_object(y), budget)
+    rhs = hom_set_dq(subset, vy, budget)
 
-    mapped = [_phi(subset, y, a) for a in lhs]
+    mapped = [_phi(subset, vy, a) for a in lhs]
     bijection_ok = (
         len(lhs) == len(rhs)
         and len(set(mapped)) == len(mapped)
@@ -291,8 +298,8 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
         cases = [(f, a) for f in fs for a in lhs]
         for f, alpha in sample(cases, 64):
             lifted = cq_arrow(f)
-            left = _phi(s0, y, lifted.then(alpha))
-            right = f.then(_phi(subset, y, alpha))
+            left = _phi(s0, vy, lifted.then(alpha))
+            right = f.then(_phi(subset, vy, alpha))
             if left != right:
                 natural_ok = False
     # vary the target: g: y -> y1, compare Phi(g after alpha) with
@@ -307,11 +314,12 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
         if y1.pairs in seen:
             continue
         seen.add(y1.pairs)
+        vy1 = vq_object(y1)
         gs = hom_set_rq(y, y1, budget)
         cases = [(g, a) for g in gs for a in lhs]
         for g, alpha in sample(cases, 64):
-            left = _phi(subset, y1, alpha.then(g))
-            right = _phi(subset, y, alpha).then(vq_arrow(g))
+            left = _phi(subset, vy1, alpha.then(g))
+            right = _phi(subset, vy, alpha).then(_vq_map(vy, vy1, g))
             if left != right:
                 natural_ok = False
     return AdjunctionReport(

@@ -47,39 +47,13 @@ def decode_point(code, size, arity):
     return tuple(out)
 
 
-class UnionFind:
-    """Plain union-find with path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def labels(self):
-        """Normalized label vector: blocks numbered by least member."""
-        n = len(self.parent)
-        seen = {}
-        out = [0] * n
-        for i in range(n):
-            r = self.find(i)
-            if r not in seen:
-                seen[r] = len(seen)
-            out[i] = seen[r]
-        return tuple(out)
+def _recode(m, k, r, base):
+    """For every code below k**r: its big-endian digits mapped by m, encoded
+    in radix base."""
+    out = np.zeros(k ** r, dtype=np.int64)
+    for digit in np.indices((k,) * r).reshape(r, k ** r):
+        out = out * base + m[digit]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +227,46 @@ def generate_subuniverse(alg, seeds):
 # partitions
 
 
+# The array routines for partitions work on least-member arrays: rep[x] is
+# the least element of x's block.
+
+
+def _pair_arrays(size, pairs):
+    """The pairs as two index arrays, each pair checked against the carrier."""
+    pairs = [tuple(p) for p in pairs]
+    for a, b in pairs:
+        if not (0 <= a < size and 0 <= b < size):
+            raise ValidationError(f"pair ({a}, {b}) outside carrier")
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _least_members(labels):
+    """The least-member array of normalized labels."""
+    lab = np.asarray(labels, dtype=np.int64)
+    return np.unique(lab, return_index=True)[1][lab]
+
+
+def _partition(rep):
+    """The Partition of a least-member array."""
+    return Partition(len(rep), tuple(np.unique(rep, return_inverse=True)[1].tolist()))
+
+
+def _settle(rep, a, b):
+    """The join of the partition rep with the pairs (a[i], b[i]): hook the
+    larger representative of each split pair onto the smaller one until
+    every pair lies in one block."""
+    while True:
+        ra, rb = rep[a], rep[b]
+        split = ra != rb
+        if not split.any():
+            return rep
+        hook = np.arange(len(rep))
+        np.minimum.at(hook, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while not np.array_equal(hook[hook], hook):
+            hook = hook[hook]
+        rep = hook[rep]
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of {0..size-1} in normalized form: block labels are
@@ -285,12 +299,7 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, size, pairs):
-        uf = UnionFind(size)
-        for a, b in pairs:
-            if not (0 <= a < size and 0 <= b < size):
-                raise ValidationError(f"pair ({a}, {b}) outside carrier")
-            uf.union(a, b)
-        return cls(size, uf.labels())
+        return _partition(_settle(np.arange(size), *_pair_arrays(size, pairs)))
 
     @classmethod
     def identity(cls, size):
@@ -333,19 +342,20 @@ class Partition:
     def join(self, other):
         if other.size != self.size:
             raise ShapeMismatch("partitions of different sets")
-        uf = UnionFind(self.size)
-        anchor_a, anchor_b = {}, {}
-        for i in range(self.size):
-            la, lb = self.labels[i], other.labels[i]
-            if la in anchor_a:
-                uf.union(i, anchor_a[la])
-            else:
-                anchor_a[la] = i
-            if lb in anchor_b:
-                uf.union(i, anchor_b[lb])
-            else:
-                anchor_b[lb] = i
-        return Partition(self.size, uf.labels())
+        # union-find over the blocks of self: link the blocks that meet one
+        # block of other
+        parent = list(range(self.num_blocks))
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        anchor = {}
+        for a, b in zip(self.labels, other.labels):
+            ra, rb = root(a), root(anchor.setdefault(b, a))
+            parent[max(ra, rb)] = min(ra, rb)
+        return Partition.from_labels([root(a) for a in self.labels])
 
     def is_congruence_of(self, alg):
         """Compatible with every operation of alg?"""
@@ -354,24 +364,12 @@ class Partition:
         if self.size == 0:
             return True
         lab = np.asarray(self.labels, dtype=np.int64)
-        # representative (least member) of each element's block
-        reps = np.zeros(self.num_blocks, dtype=np.int64)
-        for i in range(self.size - 1, -1, -1):
-            reps[lab[i]] = i
-        rep_of = reps[lab]
-        k = self.size
+        rep_of = _least_members(self.labels)
         for (sym, r), tab in zip(alg.signature.symbols, alg.tables):
             if r == 0:
                 continue
             t = np.asarray(tab, dtype=np.int64)
-            flat = np.arange(k ** r)
-            rep_code = np.zeros(k ** r, dtype=np.int64)
-            rest = flat
-            for j in range(r - 1, -1, -1):
-                digit = rest % k
-                rest = rest // k
-                rep_code += rep_of[digit] * (k ** (r - 1 - j))
-            if not np.array_equal(lab[t], lab[t[rep_code]]):
+            if not np.array_equal(lab[t], lab[t[_recode(rep_of, self.size, r, self.size)]]):
                 return False
         return True
 
@@ -419,14 +417,7 @@ def is_homomorphism(h):
             if m[ts[0]] != tt[0]:
                 return False
             continue
-        flat = np.arange(ks ** r)
-        img_code = np.zeros(ks ** r, dtype=np.int64)
-        rest = flat
-        for j in range(r - 1, -1, -1):
-            digit = rest % ks
-            rest = rest // ks
-            img_code += m[digit] * (kt ** (r - 1 - j))
-        if not np.array_equal(m[ts], tt[img_code]):
+        if not np.array_equal(m[ts], tt[_recode(m, ks, r, kt)]):
             return False
     return True
 
@@ -462,13 +453,10 @@ def product_algebra(factors, signature=None, budget=DEFAULT_BUDGET):
         )
         return FiniteAlgebra(signature, 1, tables, name="trivial")
 
-    digits = []  # digits[i][code] = i-th coordinate of code
+    digits = np.indices(sizes).reshape(len(factors), total)  # coordinates of each code
     weights = [1] * len(factors)
     for i in range(len(factors) - 2, -1, -1):
         weights[i] = weights[i + 1] * sizes[i + 1]
-    codes = np.arange(total)
-    for i, f in enumerate(factors):
-        digits.append((codes // weights[i]) % sizes[i])
 
     tables = []
     for sym, r in signature.symbols:
@@ -480,13 +468,7 @@ def product_algebra(factors, signature=None, budget=DEFAULT_BUDGET):
             continue
         if total ** r > budget:
             raise BudgetExceeded(f"product table for {sym!r} exceeds budget {budget}")
-        flat = np.arange(total ** r)
-        arg_codes = []
-        rest = flat
-        for j in range(r - 1, -1, -1):
-            arg_codes.append(rest % total)
-            rest = rest // total
-        arg_codes.reverse()
+        arg_codes = np.indices((total,) * r).reshape(r, total ** r)
         out = np.zeros(total ** r, dtype=np.int64)
         for i, f in enumerate(factors):
             t = f.np_table(sym)
@@ -504,33 +486,12 @@ def power_algebra(alg, n, budget=DEFAULT_BUDGET):
 
 
 def generate_congruence(alg, pairs):
-    """Smallest congruence containing the pairs.
-
-    Fixpoint of: for every operation f and argument tuple u, merge f(u)
-    with f(u*) where u* replaces each coordinate by its current class
-    representative. Costs size^arity per operation per pass.
-    """
-    k = alg.size
-    uf = UnionFind(k)
-    for a, b in pairs:
-        if not (0 <= a < k and 0 <= b < k):
-            raise ValidationError(f"pair ({a}, {b}) outside carrier")
-        uf.union(a, b)
-    if k == 0:
+    """Smallest congruence containing the pairs, by the worklist closure
+    that all_congruences shares."""
+    a, b = _pair_arrays(alg.size, pairs)
+    if alg.size == 0:
         return Partition(0, ())
-    changed = True
-    while changed:
-        changed = False
-        for (sym, r), tab in zip(alg.signature.symbols, alg.tables):
-            if r == 0:
-                continue
-            for u in product(range(k), repeat=r):
-                star = tuple(uf.find(x) for x in u)
-                if star == u:
-                    continue
-                if uf.union(tab[encode_point(u, k)], tab[encode_point(star, k)]):
-                    changed = True
-    return Partition(k, uf.labels())
+    return _partition(_closure(_unary_translations(alg), a, b))
 
 
 def quotient_algebra(alg, part):
@@ -539,11 +500,7 @@ def quotient_algebra(alg, part):
         raise ShapeMismatch("partition size differs from carrier size")
     if not part.is_congruence_of(alg):
         raise NotACongruence("partition is not compatible with the operations")
-    nb = part.num_blocks
-    reps = [None] * nb
-    for i, lab in enumerate(part.labels):
-        if reps[lab] is None:
-            reps[lab] = i
+    reps = [block[0] for block in part.blocks()]
     tables = []
     for (sym, r), tab in zip(alg.signature.symbols, alg.tables):
         if r == 0:
@@ -553,7 +510,7 @@ def quotient_algebra(alg, part):
         for args in product(reps, repeat=r):
             flat.append(part.labels[tab[encode_point(args, alg.size)]])
         tables.append(tuple(flat))
-    quot = FiniteAlgebra(alg.signature, nb, tuple(tables))
+    quot = FiniteAlgebra(alg.signature, len(reps), tuple(tables))
     proj = Homomorphism(alg, quot, part.labels)
     return quot, proj
 
@@ -624,160 +581,123 @@ def _join_closure(base, size, budget):
     return order
 
 
-def _principal_congruences_naive(alg):
-    out = {}
-    for v in range(alg.size):
-        for u in range(v):
-            p = generate_congruence(alg, [(u, v)])
-            out.setdefault(p.labels, p)
-    return list(out.values())
-
-
 def _unary_translations(alg):
-    """Every map x -> f(c1,..,x,..,cr) as a row of an array, deduplicated."""
-    k = alg.size
-    rows = [np.arange(k, dtype=np.int64)[None, :]]
-    for sym, r in alg.signature.symbols:
-        if r == 0:
-            continue
-        t = alg.np_table(sym)
-        for pos in range(r):
-            moved = np.moveaxis(t, pos, -1).reshape(-1, k)
-            rows.append(moved)
-    allrows = np.unique(np.concatenate(rows, axis=0), axis=0)
-    ident = np.arange(k, dtype=np.int64)
-    keep = ~np.all(allrows == ident[None, :], axis=1)
-    return allrows[keep]
+    """Every basic translation x -> f(c1,..,x,..,cr) other than the
+    identity, deduplicated; row x lists the images of x."""
+    ident = np.arange(alg.size)
+    rows = np.unique(np.concatenate([ident[None], *(
+        np.moveaxis(alg.np_table(sym), pos, -1).reshape(-1, alg.size)
+        for sym, r in alg.signature.symbols for pos in range(r)
+    )]), axis=0)
+    return np.ascontiguousarray(rows[(rows != ident).any(axis=1)].T)
 
 
-def _principal_congruences_fast(alg, budget):
-    """All principal congruences at once via the pair graph.
+class _Principals:
+    """The distinct principal congruences found so far, as rows of
+    least-member arrays with their block counts, and at a*k + b the row of
+    Cg(a, b) for every pair asked so far (-1 for the others)."""
 
-    Nodes are unordered pairs {u,v}; each unary translation g sends a pair
-    to {g(u), g(v)} (dropped when collapsed). Cg(u,v) is the equivalence
-    closure of the pairs reachable from {u,v}, so strongly connected pairs
-    generate the same congruence and a reverse-topological sweep over the
-    condensation computes every Cg with memoized partition joins.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-    from graphlib import TopologicalSorter
+    def __init__(self, k, budget):
+        self.k, self.budget = k, budget
+        self.reps = np.empty((0, k), dtype=np.int64)
+        self.blocks = np.empty(0, dtype=np.int64)
+        self.index = {}
+        self.of_pair = np.full(k * k, -1, dtype=np.int64)
 
-    k = alg.size
-    npairs = k * (k - 1) // 2
-    if npairs == 0:
-        return []
-    # pair index <-> (u, v) with u < v
-    U = np.repeat(np.arange(k), np.arange(k - 1, -1, -1))
-    V = np.concatenate([np.arange(u + 1, k) for u in range(k)]) if k > 1 else np.array([], dtype=np.int64)
-    base = np.concatenate([[0], np.cumsum(np.arange(k - 1, 0, -1))])
+    def finest_holding(self, a, b):
+        """The row of the finest known congruence holding (a, b), or None."""
+        rows = np.flatnonzero(self.reps[:, a] == self.reps[:, b])
+        return rows[np.argmax(self.blocks[rows])] if len(rows) else None
 
-    def pair_index(a, b):
-        return base[a] + (b - a - 1)
+    def record(self, a, b, rep):
+        row = self.index.setdefault(rep.tobytes(), len(self.index))
+        if row == len(self.reps):
+            if row == self.budget:
+                raise BudgetExceeded(f"congruence lattice exceeds budget {self.budget}")
+            self.reps = np.vstack([self.reps, rep])
+            self.blocks = np.append(self.blocks, np.count_nonzero(rep == np.arange(self.k)))
+        self.of_pair[a * self.k + b] = row
 
-    trans = _unary_translations(alg)
-    srcs, dsts = [], []
-    for g in trans:
-        gu, gv = g[U], g[V]
-        keep = gu != gv
-        if not keep.any():
-            continue
-        a = np.minimum(gu[keep], gv[keep])
-        b = np.maximum(gu[keep], gv[keep])
-        srcs.append(np.nonzero(keep)[0])
-        dsts.append(pair_index(a, b))
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        packed = np.unique(src.astype(np.int64) * npairs + dst)
-        src = packed // npairs
-        dst = packed % npairs
-        graph = csr_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(npairs, npairs)
-        )
-        ncomp, comp = connected_components(graph, directed=True, connection="strong")
-    else:
-        ncomp, comp = npairs, np.arange(npairs)
-        src = dst = np.array([], dtype=np.int64)
 
-    # condensation edges, deduplicated
-    cs, cd = comp[src], comp[dst]
-    keep = cs != cd
-    cpacked = np.unique(cs[keep].astype(np.int64) * ncomp + cd[keep])
-    children = {}
-    for p in cpacked:
-        children.setdefault(int(p // ncomp), []).append(int(p % ncomp))
+def _closure(images, a, b, known=None):
+    """The least congruence holding the pairs (a[i], b[i]), as a
+    least-member array, by Freese's worklist closure: a popped pair (x, y)
+    joins each image pair (t(x), t(y)) under a basic translation t (a
+    column of images) into the partition, and the image pairs that merge
+    two blocks are pushed in turn.
 
-    # own pairs per component
-    own = {}
-    order_by_comp = np.argsort(comp, kind="stable")
-    bounds = np.searchsorted(comp[order_by_comp], np.arange(ncomp + 1))
-    for c in range(ncomp):
-        own[c] = order_by_comp[bounds[c]:bounds[c + 1]]
+    With known (a _Principals) and one pair p, an image pair whose
+    principal congruence is known is joined in whole instead, since Cg(p)
+    is the equivalence closure of p and every Cg(t(p)); and if Cg(p) is
+    already known, the closure stops as soon as it reaches it."""
+    k = len(images)
+    ident = np.arange(k)
+    rep = _settle(ident, a, b)
+    finest = known.finest_holding(a[0], b[0]) if known is not None else None
+    work = list(zip(a.tolist(), b.tolist()))
+    while work:
+        x, y = work.pop()
+        u, v = images[x], images[y]
+        split = rep[u] != rep[v]
+        codes = np.minimum(u, v)[split] * k + np.maximum(u, v)[split]
+        before = rep
+        if known is not None:
+            rows = known.of_pair[codes]
+            found = np.unique(rows[rows >= 0])
+            if finest is not None and finest in found:
+                return known.reps[finest]
+            joined = known.reps[found]
+            rep = _settle(rep, np.arange(joined.size) % k, joined.ravel())
+            codes = codes[rows < 0]
+        codes = np.unique(codes)
+        lo, hi = codes // k, codes % k
+        rep = _settle(rep, lo, hi)
+        if finest is not None and np.count_nonzero(rep == ident) == known.blocks[finest]:
+            return known.reps[finest]
+        # push the pairs that merge two blocks of the partition before
+        parent = {}
+        for c, d, rc, rd in zip(lo.tolist(), hi.tolist(),
+                                before[lo].tolist(), before[hi].tolist()):
+            while rc in parent:
+                rc = parent[rc]
+            while rd in parent:
+                rd = parent[rd]
+            if rc != rd:
+                parent[max(rc, rd)] = min(rc, rd)
+                work.append((c, d))
+    return rep
 
-    ts = TopologicalSorter({c: children.get(c, []) for c in range(ncomp)})
-    topo = list(ts.static_order())  # children before parents
 
-    interned = {}  # labels -> id
-    by_id = []  # id -> labels
-
-    def intern(labels):
-        if labels not in interned:
-            interned[labels] = len(by_id)
-            by_id.append(labels)
-            if len(by_id) > budget:
-                raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
-        return interned[labels]
-
-    def seed_from(uf, labels):
-        anchor = {}
-        for i, lab in enumerate(labels):
-            if lab in anchor:
-                uf.union(i, anchor[lab])
-            else:
-                anchor[lab] = i
-
-    join_memo = {}
-
-    def join_ids(i, j):
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        if key not in join_memo:
-            uf = UnionFind(k)
-            seed_from(uf, by_id[i])
-            seed_from(uf, by_id[j])
-            join_memo[key] = intern(uf.labels())
-        return join_memo[key]
-
-    part_of = [None] * ncomp
-    for c in topo:
-        acc = None
-        for kid in sorted({part_of[ch] for ch in children.get(c, [])}):
-            acc = kid if acc is None else join_ids(acc, kid)
-        uf = UnionFind(k)
-        if acc is not None:
-            seed_from(uf, by_id[acc])
-        mine = own[c]
-        for a, b in zip(U[mine], V[mine]):
-            uf.union(int(a), int(b))
-        part_of[c] = intern(uf.labels())
-
-    distinct = {}
-    for c in range(ncomp):
-        distinct.setdefault(part_of[c], None)
-    return [Partition(k, by_id[pid]) for pid in distinct]
+def _join_irreducibles(reps):
+    """The rows of reps (distinct congruences) that are not the join of
+    the rows strictly below them."""
+    ident = np.arange(reps.shape[1])
+    out = []
+    for rep in reps:
+        below = reps[(rep[reps] == rep).all(axis=1) & (reps != rep).any(axis=1)]
+        join = _settle(ident, np.arange(below.size) % len(ident), below.ravel())
+        if not np.array_equal(join, rep):
+            out.append(rep)
+    return out
 
 
 def all_congruences(alg, budget=DEFAULT_BUDGET):
-    """Every congruence of alg: join-closure of the principal congruences.
-    Small carriers run the naive per-pair generator; large ones the pair
-    graph sweep. Both routes agree (tested)."""
-    if alg.size == 0:
+    """Every congruence of alg, sorted by labels.
+
+    Cg(a, b) for each pair a < b comes from the worklist closure, which
+    joins in the principal congruences of earlier pairs. Every congruence
+    is a join of join-irreducible ones, and those are principal, so only
+    the principals that are not the join of the principals strictly below
+    them are closed under join. BudgetExceeded when the principals or the
+    lattice outgrow budget."""
+    k = alg.size
+    if k == 0:
         return (Partition(0, ()),)
-    if alg.size <= 48:
-        principals = _principal_congruences_naive(alg)
-    else:
-        principals = _principal_congruences_fast(alg, budget)
-    lattice = _join_closure(principals, alg.size, budget)
+    images = _unary_translations(alg)
+    known = _Principals(k, budget)
+    for b in range(k):
+        for a in range(b):
+            known.record(a, b, _closure(images, np.array([a]), np.array([b]), known))
+    base = [_partition(rep) for rep in _join_irreducibles(known.reps)]
+    lattice = _join_closure(base, k, budget)
     return tuple(sorted(lattice, key=lambda p: p.labels))

@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
     Partition,
+    _least_members,
     encode_point,
     is_homomorphism,
     power_algebra,
@@ -165,12 +166,7 @@ def v_of_partition(space, part):
         raise ShapeMismatch("partition does not fit the free algebra")
     if m == 0:
         return AffineSubset.full(space)
-    reps = [None] * part.num_blocks
-    for i, lab in enumerate(part.labels):
-        if reps[lab] is None:
-            reps[lab] = i
-    rep_of = [reps[lab] for lab in part.labels]
-    mask = (space.ev == space.ev[rep_of]).all(axis=0)
+    mask = (space.ev == space.ev[_least_members(part.labels)]).all(axis=0)
     return AffineSubset.of(space, np.nonzero(mask)[0])
 
 
@@ -222,11 +218,7 @@ def gelfand_evaluation(space, point):
 def _gelfand_parts(space, a):
     kernel = point_kernel(space, a)
     quot, proj = quotient_algebra(space.free.as_algebra(), kernel)
-    reps = [None] * kernel.num_blocks
-    for i, lab in enumerate(kernel.labels):
-        if reps[lab] is None:
-            reps[lab] = i
-    mapping = tuple(int(space.ev[r, a]) for r in reps)
+    mapping = tuple(int(space.ev[block[0], a]) for block in kernel.blocks())
     gamma = Homomorphism(quot, space.ground, mapping)
     if len(set(mapping)) != len(mapping) or not is_homomorphism(gamma):
         raise AssertionFailure("gelfand evaluation failed to embed the quotient")
@@ -294,15 +286,11 @@ def birkhoff_transform(presented, budget=DEFAULT_BUDGET):
     for i in range(len(factors) - 2, -1, -1):
         weights[i] = weights[i + 1] * factors[i + 1].size
 
-    theta_reps = [None] * theta.num_blocks if theta.size else []
-    for i, lab in enumerate(theta.labels):
-        if theta_reps[lab] is None:
-            theta_reps[lab] = i
     sigma_map = []
-    for r in theta_reps:
+    for block in theta.blocks():
         code = 0
         for i, ker in enumerate(kernels):
-            code += ker.labels[r] * weights[i]
+            code += ker.labels[block[0]] * weights[i]
         sigma_map.append(code)
     sigma = Homomorphism(quot, prod, tuple(sigma_map))
     if not is_homomorphism(sigma):
@@ -361,10 +349,7 @@ def nullstellensatz_check(presented):
         if not theta.refines(ker):
             raise AssertionFailure("point kernel fails to contain theta")
     nb = theta.num_blocks
-    reps = [None] * nb
-    for i, lab in enumerate(theta.labels):
-        if reps[lab] is None:
-            reps[lab] = i
+    reps = [block[0] for block in theta.blocks()]
     tuples = set()
     onto = all(
         len({ker.labels[r] for r in reps}) == ker.num_blocks for ker in kernels

@@ -139,6 +139,70 @@ def brute_congruences(ops, k):
     return frozenset(p for p in all_partitions(k) if respects_ops(p, ops, k))
 
 
+def _normalize(labels):
+    """Renumber blocks by first appearance."""
+    seen = {}
+    return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
+
+
+def _merge(labels, a, b):
+    """Put b's block into a's (labels is a list); True when they differed."""
+    old, new = labels[b], labels[a]
+    if old == new:
+        return False
+    for i, lab in enumerate(labels):
+        if lab == old:
+            labels[i] = new
+    return True
+
+
+def least_congruence(ops, k, pairs):
+    """The least congruence holding the pairs, by a fixpoint over the
+    tables: for every argument tuple s, merge f(s) with f(s*), where s*
+    replaces each argument by the least member of its block, until a
+    whole pass merges nothing."""
+    labels = list(range(k))
+    for a, b in pairs:
+        _merge(labels, a, b)
+    changed = True
+    while changed:
+        changed = False
+        least = {}
+        for i, lab in enumerate(labels):
+            least.setdefault(lab, i)
+        for arity, table in ops.values():
+            if arity == 0:
+                continue
+            for s in product(range(k), repeat=arity):
+                star = tuple(least[labels[x]] for x in s)
+                if _merge(labels, table[encode(s, k)], table[encode(star, k)]):
+                    changed = True
+    return _normalize(labels)
+
+
+def principal_congruences(ops, k):
+    """The distinct Cg(u, v), u < v, one fixpoint per pair."""
+    return {least_congruence(ops, k, [(u, v)]) for v in range(k) for u in range(v)}
+
+
+def join_closure(parts, k):
+    """The identity and every join of the given partitions (label tuples),
+    by pairwise joins until nothing new appears."""
+    def join(p, q):
+        labels = list(p)
+        first = {}
+        for i, lab in enumerate(q):
+            _merge(labels, first.setdefault(lab, i), i)
+        return _normalize(labels)
+
+    lattice = {tuple(range(k))} | set(parts)
+    while True:
+        new = {join(p, q) for p in lattice for q in parts} - lattice
+        if not new:
+            return lattice
+        lattice |= new
+
+
 def boolean_ideal_congruences(and_t, or_t, not_t, k):
     """Congruences of a finite Boolean algebra via its ideals.
 

@@ -283,15 +283,11 @@ def test_all_congruences_small_oracle():
 
 
 def test_all_congruences_fast_path_agrees():
-    # force the pair-graph route on algebras small enough for the naive one
-    from affinekit.core import _principal_congruences_fast, _join_closure
-
+    # the lattice is the join closure of the per-pair fixpoint's principals
     for alg in [z4(), _free_bool1(), power_algebra(z4(), 2)]:
-        naive = all_congruences(alg)
-        fast = _join_closure(
-            _principal_congruences_fast(alg, 10 ** 6), alg.size, 10 ** 6
-        )
-        assert {p.labels for p in naive} == {p.labels for p in fast}
+        principals = oracles.principal_congruences(_ops_dict(alg), alg.size)
+        want = oracles.join_closure(principals, alg.size)
+        assert {p.labels for p in all_congruences(alg)} == want
 
 
 def test_all_congruences_z4_squared():
