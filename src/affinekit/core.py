@@ -170,6 +170,12 @@ class FiniteAlgebra:
             out[s] = np.asarray(tab, dtype=np.int64).reshape((self.size,) * r)
         return out
 
+    @cached_property
+    def _translations(self):
+        out = _unary_translations(self)
+        out.flags.writeable = False
+        return out
+
     def np_table(self, name):
         if name not in self._np_tables:
             raise UnknownSymbol(f"no operation named {name!r}")
@@ -260,7 +266,7 @@ def _settle(rep, a, b):
         split = ra != rb
         if not split.any():
             return rep
-        hook = np.arange(len(rep))
+        hook = np.arange(len(rep), dtype=rep.dtype)
         np.minimum.at(hook, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
         while not np.array_equal(hook[hook], hook):
             hook = hook[hook]
@@ -486,12 +492,12 @@ def power_algebra(alg, n, budget=DEFAULT_BUDGET):
 
 
 def generate_congruence(alg, pairs):
-    """Smallest congruence containing the pairs, by the worklist closure
-    that all_congruences shares."""
+    """Smallest congruence containing the pairs: the one-row case of the
+    closure that all_congruences runs."""
     a, b = _pair_arrays(alg.size, pairs)
     if alg.size == 0:
         return Partition(0, ())
-    return _partition(_closure(_unary_translations(alg), a, b))
+    return _partition(_closure(alg._translations, a, b, 1)[0])
 
 
 def quotient_algebra(alg, part):
@@ -582,90 +588,98 @@ def _join_closure(base, size, budget):
 
 
 def _unary_translations(alg):
-    """Every basic translation x -> f(c1,..,x,..,cr) other than the
-    identity, deduplicated; row x lists the images of x."""
-    ident = np.arange(alg.size)
+    """A generating set of the basic translations x -> f(c1,..,x,..,cr),
+    one column of images per map: row x lists the images of x. A partition
+    closed under s and t is closed under s o t, so closure under any set
+    generating their monoid makes a congruence. Of the distinct ones other
+    than the identity, taken by rank (number of images) from the lowest,
+    each equal to s o t for maps s, t still kept, neither one itself, is
+    dropped. Candidate factors come from fingerprints, fp(f) = sum of w[x]
+    f(x) and fp(s o t) = sum of s(y) pre_t(y), pre_t(y) the weight of t's
+    preimage of y, and are checked in full."""
+    k = alg.size
+    ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
     rows = np.unique(np.concatenate([ident[None], *(
-        np.moveaxis(alg.np_table(sym), pos, -1).reshape(-1, alg.size)
-        for sym, r in alg.signature.symbols for pos in range(r)
+        np.moveaxis(np.array(tab, ident.dtype).reshape((k,) * r), pos, -1).reshape(-1, k)
+        for (_, r), tab in zip(alg.signature.symbols, alg.tables) for pos in range(r)
     )]), axis=0)
-    return np.ascontiguousarray(rows[(rows != ident).any(axis=1)].T)
+    rows = rows[(rows != ident).any(axis=1)]
+    m = len(rows)
+    w = np.arange(1, k + 1) ** 2 * 40503 % 1048573
+    pre = np.array([np.bincount(row, w, k) for row in rows], dtype=np.int64).reshape(m, k)
+    fp = pre @ np.arange(k)
+    order = np.argsort(fp)
+    hits = [np.empty(0, dtype=np.int64)]  # (i*m + s)*m + t where fp(s o t) = fp(i)
+    for lo in range(0, m, 64):
+        comp = rows[lo:lo + 64] @ pre.T
+        at = order[np.searchsorted(fp[order], comp) % m]
+        s, t = np.nonzero(fp[at] == comp)
+        s, i = s + lo, at[s, t]
+        hits.append(((i * m + s) * m + t)[(s != i) & (t != i)])
+    hits = np.sort(np.concatenate(hits))
+    bounds = np.searchsorted(hits, np.arange(m + 1) * m * m)
+    keep = np.ones(m, dtype=bool)
+    rank = (np.diff(np.sort(rows, axis=1), axis=1) != 0).sum(axis=1)
+    for x in np.argsort(rank, kind="stable"):
+        s, t = np.divmod(hits[bounds[x]:bounds[x + 1]] % (m * m), m)
+        kept = np.flatnonzero(keep[s] & keep[t])
+        keep[x] = not any((rows[s[j]][rows[t[j]]] == rows[x]).all() for j in kept)
+    return np.ascontiguousarray(rows[keep].T, dtype=np.int32)
 
 
-class _Principals:
-    """The distinct principal congruences found so far, as rows of
-    least-member arrays with their block counts, and at a*k + b the row of
-    Cg(a, b) for every pair asked so far (-1 for the others)."""
+def _closure(images, x, y, rows, known=None):
+    """The least congruences holding the pairs (x[j], y[j]) for rows
+    partitions at once, as a (rows, k) array of least-member rows; row i is
+    at offset i*k of one flat least-member array, and x, y are flat.
 
-    def __init__(self, k, budget):
-        self.k, self.budget = k, budget
-        self.reps = np.empty((0, k), dtype=np.int64)
-        self.blocks = np.empty(0, dtype=np.int64)
-        self.index = {}
-        self.of_pair = np.full(k * k, -1, dtype=np.int64)
+    Freese's worklist closure: a round maps every pushed pair of every live
+    row through every translation (a column of images) and joins the image
+    pairs in, then pushes one pair (new rep, root) per block of the
+    partition before that join that merged. With that partition these span
+    the new one, so a row ends as the equivalence closure of pairs whose
+    images it holds: a congruence.
 
-    def finest_holding(self, a, b):
-        """The row of the finest known congruence holding (a, b), or None."""
-        rows = np.flatnonzero(self.reps[:, a] == self.reps[:, b])
-        return rows[np.argmax(self.blocks[rows])] if len(rows) else None
-
-    def record(self, a, b, rep):
-        row = self.index.setdefault(rep.tobytes(), len(self.index))
-        if row == len(self.reps):
-            if row == self.budget:
-                raise BudgetExceeded(f"congruence lattice exceeds budget {self.budget}")
-            self.reps = np.vstack([self.reps, rep])
-            self.blocks = np.append(self.blocks, np.count_nonzero(rep == np.arange(self.k)))
-        self.of_pair[a * self.k + b] = row
-
-
-def _closure(images, a, b, known=None):
-    """The least congruence holding the pairs (a[i], b[i]), as a
-    least-member array, by Freese's worklist closure: a popped pair (x, y)
-    joins each image pair (t(x), t(y)) under a basic translation t (a
-    column of images) into the partition, and the image pairs that merge
-    two blocks are pushed in turn.
-
-    With known (a _Principals) and one pair p, an image pair whose
-    principal congruence is known is joined in whole instead, since Cg(p)
-    is the equivalence closure of p and every Cg(t(p)); and if Cg(p) is
-    already known, the closure stops as soon as it reaches it."""
+    known = (reps, of_pair) gives the distinct principal congruences found
+    so far as least-member rows, and at a*k + b the row of Cg(a, b) or -1.
+    Each row then holds one pair p, and Cg(p) is the equivalence closure of
+    p and every Cg(t(p)): the coarsest known Cg(t(p)) is joined whole, and
+    the image pairs it holds are not pushed. A row is done when it has as
+    many blocks as the finest known congruence holding p."""
     k = len(images)
-    ident = np.arange(k)
-    rep = _settle(ident, a, b)
-    finest = known.finest_holding(a[0], b[0]) if known is not None else None
-    work = list(zip(a.tolist(), b.tolist()))
-    while work:
-        x, y = work.pop()
-        u, v = images[x], images[y]
+    reps, of_pair = known or (np.empty((0, k), dtype=np.int32), None)
+    ident = np.arange(rows * k, dtype=np.int32)
+    rep = _settle(ident.copy(), x, y)
+    if len(reps):
+        blocks = (reps == np.arange(k)).sum(axis=1, dtype=np.int32)
+        holds = reps[:, x % k] == reps[:, y % k]
+        target = np.where(holds, blocks[:, None], 0).max(axis=0)
+        rank = blocks * len(reps) + np.arange(len(reps))
+    while len(x):
+        off = (x - x % k)[:, None]
+        u, v = (images[x % k] + off).ravel(), (images[y % k] + off).ravel()
         split = rep[u] != rep[v]
-        codes = np.minimum(u, v)[split] * k + np.maximum(u, v)[split]
+        u, v = u[split], v[split]
+        if len(reps):
+            row, found = u // k, of_pair[np.minimum(u, v) % k * k + np.maximum(u, v) % k]
+            hit = found >= 0
+            best = np.full(rows, rank.max() + 1)
+            np.minimum.at(best, row[hit], rank[found[hit]])
+            jr = np.flatnonzero(best <= rank.max())
+            jf = best[jr] % len(reps)
+            fin = blocks[jf] == target[jr]
+            rep.reshape(rows, k)[jr[fin]] = reps[jf[fin]] + jr[fin, None] * k
+            e, j = np.nonzero((reps[jf] != np.arange(k)) & ~fin[:, None])
+            rep = _settle(rep, jr[e] * k + j, jr[e] * k + reps[jf[e], j])
+            rest = ~hit | (rank[found] != best[row])
+            u, v = u[rest], v[rest]
         before = rep
-        if known is not None:
-            rows = known.of_pair[codes]
-            found = np.unique(rows[rows >= 0])
-            if finest is not None and finest in found:
-                return known.reps[finest]
-            joined = known.reps[found]
-            rep = _settle(rep, np.arange(joined.size) % k, joined.ravel())
-            codes = codes[rows < 0]
-        codes = np.unique(codes)
-        lo, hi = codes // k, codes % k
-        rep = _settle(rep, lo, hi)
-        if finest is not None and np.count_nonzero(rep == ident) == known.blocks[finest]:
-            return known.reps[finest]
-        # push the pairs that merge two blocks of the partition before
-        parent = {}
-        for c, d, rc, rd in zip(lo.tolist(), hi.tolist(),
-                                before[lo].tolist(), before[hi].tolist()):
-            while rc in parent:
-                rc = parent[rc]
-            while rd in parent:
-                rd = parent[rd]
-            if rc != rd:
-                parent[max(rc, rd)] = min(rc, rd)
-                work.append((c, d))
-    return rep
+        rep = _settle(rep, u, v)
+        y = np.flatnonzero((rep != before) & (before == ident))
+        x = rep[y]
+        if len(reps):
+            live = (rep == ident).reshape(rows, k).sum(axis=1) != target
+            x, y = x[live[y // k]], y[live[y // k]]
+    return rep.reshape(rows, k) - ident[::k, None]
 
 
 def _join_irreducibles(reps):
@@ -684,20 +698,26 @@ def _join_irreducibles(reps):
 def all_congruences(alg, budget=DEFAULT_BUDGET):
     """Every congruence of alg, sorted by labels.
 
-    Cg(a, b) for each pair a < b comes from the worklist closure, which
-    joins in the principal congruences of earlier pairs. Every congruence
-    is a join of join-irreducible ones, and those are principal, so only
-    the principals that are not the join of the principals strictly below
-    them are closed under join. BudgetExceeded when the principals or the
+    The principal congruences Cg(a, b) of one b, for all a < b, come from
+    one closure call with a row per pair (k - 1 calls in all), which joins
+    in known principal congruences of earlier b whole. Every congruence is
+    a join of join-irreducible ones, and those are principal, so only the
+    principals that are not the join of the principals strictly below them
+    are closed under join. BudgetExceeded when the principals or the
     lattice outgrow budget."""
     k = alg.size
     if k == 0:
         return (Partition(0, ()),)
-    images = _unary_translations(alg)
-    known = _Principals(k, budget)
-    for b in range(k):
-        for a in range(b):
-            known.record(a, b, _closure(images, np.array([a]), np.array([b]), known))
-    base = [_partition(rep) for rep in _join_irreducibles(known.reps)]
+    reps, index = np.empty((0, k), dtype=np.int32), {}
+    of_pair = np.full(k * k, -1, dtype=np.int32)
+    for b in range(1, k):
+        a = np.arange(b)
+        cg = _closure(alg._translations, a * k + a, a * k + b, b, (reps, of_pair))
+        of_pair[a * k + b] = [index.setdefault(rep.tobytes(), len(index)) for rep in cg]
+        if len(index) > budget:
+            raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
+        rows, first = np.unique(of_pair[a * k + b], return_index=True)
+        reps = np.vstack([reps, cg[first[rows >= len(reps)]]])
+    base = [_partition(rep) for rep in _join_irreducibles(reps)]
     lattice = _join_closure(base, k, budget)
     return tuple(sorted(lattice, key=lambda p: p.labels))

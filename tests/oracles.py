@@ -203,6 +203,31 @@ def join_closure(parts, k):
         lattice |= new
 
 
+def basic_translations(ops, k):
+    """Every map x -> f(c1,..,x,..,cr) as a tuple of images."""
+    out = set()
+    for arity, table in ops.values():
+        for pos in range(arity):
+            for consts in product(range(k), repeat=arity - 1):
+                out.add(tuple(table[encode(consts[:pos] + (x,) + consts[pos:], k)]
+                              for x in range(k)))
+    return out
+
+
+def transformation_monoid(maps, k):
+    """The monoid generated by maps (tuples of images) on {0..k-1}: from
+    the identity, compose every map found with every generator until
+    nothing new appears."""
+    maps = [tuple(f) for f in maps]
+    found = {tuple(range(k))}
+    frontier = list(found)
+    while frontier:
+        new = {tuple(g[f[x]] for x in range(k)) for f in frontier for g in maps} - found
+        found |= new
+        frontier = list(new)
+    return frozenset(found)
+
+
 def boolean_ideal_congruences(and_t, or_t, not_t, k):
     """Congruences of a finite Boolean algebra via its ideals.
 

@@ -1,12 +1,15 @@
-"""The congruence engine: one worklist closure serves generate_congruence
-and every principal congruence of all_congruences, whose lattice is the
-join closure of the join-irreducible principals.
+"""The congruence engine: one worklist closure, over a generating set of
+the translations, serves generate_congruence (one row) and the principal
+congruences of all_congruences (one row per pair a < b, one call per b),
+whose lattice is the join closure of the join-irreducible principals.
 
 Builtin lattices are pinned to frozen digests (sha256 of the canonical
 JSON of the sorted label tuples) recorded from the earlier routes: the
 per-pair fixpoint for carriers up to 48 elements and the pair-graph
-condensation sweep above. Random small algebras and their free algebras
-are checked against the brute-force oracles.
+condensation sweep above; those of F_bool2(3) and F_semilat2(4), and the
+generate_congruence digests on F_bool2(3), from the closure that ran once
+per pair. Random small algebras and their free algebras are checked
+against the brute-force oracles.
 """
 
 import hashlib
@@ -17,9 +20,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from affinekit import core
 from affinekit.core import (
+    FiniteAlgebra,
     _join_irreducibles,
     _least_members,
+    _unary_translations,
     all_congruences,
     generate_congruence,
     power_algebra,
@@ -47,6 +53,8 @@ LATTICE_DIGESTS = {
     "F_distlat2(3)": (lambda: free("distlat2", 3), 20, 256, "9194cd75fe1d0c75"),
     "F_z4(3)": (lambda: free("z4", 3), 64, 129, "436be26b103264aa"),
     "z4^2": (lambda: power_algebra(builtin("z4"), 2), 16, 15, "4fd614caf3d334fd"),
+    "F_bool2(3)": (lambda: free("bool2", 3), 256, 256, "a313ee9c1166a349"),
+    "F_semilat2(4)": (lambda: free("semilat2", 4), 15, 2271, "166da3955c0a7d46"),
 }
 
 
@@ -85,6 +93,65 @@ def test_generate_congruence_on_the_largest_free_algebra():
     for pairs in [[(0, 19)], [(3, 7), (11, 12)], [(5, 6)], []]:
         want = oracles.least_congruence(ops, alg.size, pairs)
         assert generate_congruence(alg, pairs).labels == want
+
+
+@pytest.mark.parametrize("pairs, blocks, want", [
+    ([(0, 255)], 16, "6b6f143d19766f36"),
+    ([(3, 200), (17, 18)], 2, "e5e0889f31df8a3f"),
+    ([(5, 6), (100, 101), (40, 250)], 8, "a2329b5b5b4f22d2"),
+])
+def test_generate_congruence_on_free_bool2_3(pairs, blocks, want):
+    alg = free("bool2", 3)
+    got = generate_congruence(alg, pairs)
+    assert got.labels == oracles.least_congruence(_ops_dict(alg), alg.size, pairs)
+    assert got.num_blocks == blocks and digest(list(got.labels)) == want
+
+
+def test_translations_are_cached_and_read_only(monkeypatch):
+    made = []
+    monkeypatch.setattr(core, "_unary_translations",
+                        lambda alg: made.append(alg) or _unary_translations(alg))
+    alg = FiniteAlgebra(builtin("z4").signature, 4, builtin("z4").tables)
+    images = alg._translations
+    generate_congruence(alg, [(0, 2)])
+    generate_congruence(alg, [(1, 2)])
+    assert alg._translations is images and made == [alg]
+    assert not images.flags.writeable
+    with pytest.raises(ValueError):
+        images[0, 0] = 1
+
+
+def test_all_congruences_runs_one_closure_per_element(monkeypatch):
+    calls, closure = [], core._closure
+    monkeypatch.setattr(core, "_closure", lambda *a: calls.append(a) or closure(*a))
+    alg = free("bool2", 2)
+    assert len(all_congruences(alg)) == 16
+    assert 0 < len(calls) <= alg.size - 1
+
+
+def check_generating_set(alg):
+    """The kept columns are basic translations, none the identity, and
+    generate the same monoid as all of them."""
+    kept = {tuple(col) for col in _unary_translations(alg).T.tolist()}
+    basic = oracles.basic_translations(_ops_dict(alg), alg.size)
+    assert kept <= basic and tuple(range(alg.size)) not in kept
+    assert (oracles.transformation_monoid(kept, alg.size)
+            == oracles.transformation_monoid(basic, alg.size))
+
+
+@pytest.mark.parametrize("name, n", [("bool2", 2), ("z4", 2), ("distlat2", 3), ("semilat2", 4)])
+def test_translations_generate_the_translation_monoid(name, n):
+    check_generating_set(free(name, n))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators())
+def test_translations_of_random_algebras_generate_the_monoid(generator):
+    g, n = generator
+    check_generating_set(g)
+    f = free_algebra(g, n).as_algebra()
+    if 0 < f.size <= 12:
+        check_generating_set(f)
 
 
 # --------------------------------------------------------------------------
