@@ -27,6 +27,7 @@ from .core import (
 )
 from .errors import (
     AssertionFailure,
+    BudgetExceeded,
     EquivalenceViolation,
     NotACongruence,
     NotInjective,
@@ -379,57 +380,40 @@ class ZariskiReport:
 
 
 def zariski_report(space, budget=DEFAULT_BUDGET):
-    """All closed point sets of the instance, with structure flags. Small
-    spaces (at most 16 points) scan every subset; larger ones walk the
-    congruence lattice and collect {V(theta)}."""
+    """All closed point sets of the instance, with structure flags.
+
+    The agreement mask of a pair p < q of elements is V({(p, q)}), the
+    points where they evaluate equally. V(C(S)) is the intersection of the
+    masks that contain S, so the closed sets are exactly the intersections
+    of masks, the whole space being the empty one. They are found by closing
+    {whole space} under intersection with each mask; budget bounds their
+    number. Unions of closed sets are closed iff a | b is closed for any
+    two masks, since the union of the intersections of A and of B is the
+    intersection of all a | b. Closed sets come sorted by bitmask."""
     space.require_ok()
-    npts = space.npoints
-    m = space.free.size
-
-    closed_masks = set()
-    if npts <= 16:
-        full = (1 << npts) - 1
-        masks = set()
-        if m:
-            ev = space.ev
-            pow2 = 1 << np.arange(npts, dtype=np.int64)
-            for p in range(m):
-                eq = ev == ev[p]
-                for q in range(p):
-                    masks.add(int((eq[q] * pow2).sum()))
-        unique_masks = sorted(masks)
-        for s in range(full + 1):
-            # V(C(s)) is the AND of the agreement masks of all pairs glued
-            # by C(s), i.e. pairs whose mask covers s; closed = fixed point
-            closure = full
-            for mk in unique_masks:
-                if mk & s == s:
-                    closure &= mk
-            if closure == s:
-                closed_masks.add(s)
-    else:
-        from .core import all_congruences
-
-        for theta in all_congruences(space.free.as_algebra(), budget):
-            pts = v_of_partition(space, theta).points
-            mask = 0
-            for a in pts:
-                mask |= 1 << a
-            closed_masks.add(mask)
+    npts, ev = space.npoints, space.ev
+    rows = set()
+    for p in range(1, space.free.size):
+        rows.update(map(bytes, np.packbits(ev[:p] == ev[p], axis=1, bitorder="little")))
+    masks = [int.from_bytes(r, "little") for r in rows]
 
     full = (1 << npts) - 1
-    union_closed = all(
-        (x | y) in closed_masks for x in closed_masks for y in closed_masks
-    )
-    is_topology = union_closed and 0 in closed_masks and full in closed_masks
-    matches_discrete = len(closed_masks) == 2 ** npts
-
-    sets = []
-    for mask in sorted(closed_masks):
-        sets.append(tuple(a for a in range(npts) if mask >> a & 1))
+    closed, todo = {full}, [full]
+    while todo:
+        s = todo.pop()
+        for mk in masks:
+            t = s & mk
+            if t not in closed:
+                closed.add(t)
+                todo.append(t)
+                if len(closed) > budget:
+                    raise BudgetExceeded(f"closed sets exceed budget {budget}")
+    union_closed = all((a | b) in closed for a in masks for b in masks)
     return ZariskiReport(
-        closed_sets=tuple(sets),
-        is_topology=is_topology,
+        closed_sets=tuple(
+            tuple(a for a in range(npts) if mask >> a & 1) for mask in sorted(closed)
+        ),
+        is_topology=union_closed and 0 in closed,
         union_closed=union_closed,
-        matches_discrete=matches_discrete,
+        matches_discrete=len(closed) == 2 ** npts,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,24 @@ def test_zariski_golden(capsys):
         "union_closed": True,
         "matches_discrete": False,
     }
+
+
+# sha256 of `zariski --builtin <g> --arity <n> --json` stdout, recorded from
+# the subset-scan and lattice-walk routes this command used before
+ZARISKI_JSON_SHA256 = {
+    ("z4", 3): "f8330c6ed5a8d88693711e33ebc0279fe47a41ae09a7cae3d6552a63aea2290a",
+    ("semilat2", 4): "66cbac6a09d1ed3d4bb71d77a41781a54e3af8a9d5226f5df826085f08d7951a",
+    ("bool2", 3): "f6683e67853d8ca32f9cc8e33c74747f0df1fc8c62f49bea15daa306400115d2",
+    ("z4", 2): "623c98de8a9293bdf1edd10ff01ca421bd8164dedda9adf57fd7db833e438d58",
+    ("semilat2", 3): "1bc2fdc900cb5d75306ddc16a1b1184fd3cd42ead1c0ac7d6e936f4289cc3a9c",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(ZARISKI_JSON_SHA256))
+def test_zariski_json_matches_frozen_digest(capsys, name, n):
+    code, out, _ = run(capsys, ["zariski", "--builtin", name, "--arity", str(n), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZARISKI_JSON_SHA256[name, n]
 
 
 def test_adjoint_golden(capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from affinekit.core import (
     Homomorphism,
@@ -12,6 +13,7 @@ from affinekit.core import (
 )
 from affinekit.errors import (
     AssertionFailure,
+    BudgetExceeded,
     NotInjective,
     ShapeMismatch,
     ValidationError,
@@ -36,6 +38,7 @@ from affinekit.galois import (
 )
 
 import oracles
+from test_clone import ground_cases
 from test_core import bool2, semilat2, z4
 from test_free import distlat2, impl2, z2
 
@@ -278,11 +281,50 @@ def test_zariski_report_z4():
 
 
 def test_zariski_report_matches_congruence_route():
-    # closed sets from the subset scan == {V(theta)} over the whole lattice
-    for gs in spaces():
-        if gs.npoints > 16:
-            continue
+    # closed sets == {V(theta)} over the whole congruence lattice, at every size
+    for gs in spaces() + [ground_space(z4(), z4(), 3)]:
         rep = zariski_report(gs)
         falg = gs.free.as_algebra()
         from_lattice = {v_of_partition(gs, t).points for t in all_congruences(falg)}
         assert set(rep.closed_sets) == from_lattice
+
+
+@pytest.mark.parametrize("alg, n, count", [(semilat2, 4, 2271), (z4, 3, 129)])
+def test_zariski_report_budget_bounds_closed_sets(alg, n, count):
+    gs = ground_space(alg(), alg(), n)
+    assert len(zariski_report(gs, budget=count).closed_sets) == count
+    with pytest.raises(BudgetExceeded):
+        zariski_report(gs, budget=count - 1)
+
+
+def brute_closed_sets(gs):
+    """Every subset S with V(C(S)) == S, by the pairwise oracles."""
+    rows = gs.ev.tolist()
+    closed = set()
+    for code in range(2 ** gs.npoints):
+        s = tuple(a for a in range(gs.npoints) if code >> a & 1)
+        labels = oracles.brute_c(rows, s)
+        glued = [(p, q) for p in range(len(rows)) for q in range(p) if labels[p] == labels[q]]
+        if oracles.brute_v(rows, gs.npoints, glued) == s:
+            closed.add(s)
+    return closed
+
+
+# most draws have one point, and an example takes milliseconds
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ground_cases())
+def test_zariski_report_matches_subset_scan_on_random_algebras(case):
+    g, n, ground, _ = case
+    gs = ground_space(g, ground, n)
+    assume(gs.ok and gs.npoints <= 8)
+    rep = zariski_report(gs)
+    closed = set(rep.closed_sets)
+    assert closed == brute_closed_sets(gs)
+    assert list(rep.closed_sets) == sorted(closed, key=lambda s: sum(1 << a for a in s))
+    full = tuple(range(gs.npoints))
+    union_closed = all(
+        tuple(sorted(set(x) | set(y))) in closed for x in closed for y in closed
+    )
+    assert rep.union_closed == union_closed
+    assert rep.is_topology == (union_closed and () in closed and full in closed)
+    assert rep.matches_discrete == (len(closed) == 2 ** gs.npoints)
