@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Partition
+from .core import DEFAULT_BUDGET, Partition, _encode
 from .errors import (
     AssertionFailure,
     BijectionFailure,
@@ -125,11 +125,9 @@ def _homomorphism_table(y_space, x_space, witnesses):
 def _point_images(space, points, witnesses):
     """Codes of the points (w_1(a), .., w_m(a)) of the ground, one row per
     witness tuple (w_1, .., w_m), one column per point a of points."""
-    cols = space.ev[:, list(points)]
-    codes = np.zeros((len(witnesses), len(points)), dtype=np.int64)
-    for w in np.array(witnesses, dtype=np.int64).T:
-        codes = codes * space.ground.size + cols[w]
-    return codes
+    # ndmin=2 and the slice keep an empty list of witnesses a 2-D table
+    w = np.array(witnesses, dtype=np.int64, ndmin=2)[:len(witnesses)].T
+    return _encode(space.ev[:, list(points)][w], (space.ground.size,) * len(w))
 
 
 def _induced_map(src, dst, witness, error):

@@ -532,10 +532,7 @@ def _build_parser():
             relation=True)
     p.add_argument("--assume-stable", action="store_true",
                    help="skip the translation-stability check")
-    p = sub.add_parser("stone", help="subsets/congruences correspondence demo")
-    _add_generator_opts(p)
-    _add_common_opts(p, ground=False)
-    p.set_defaults(handler=_cmd_stone)
+    add("stone", _cmd_stone, "subsets/congruences correspondence demo", ground=False)
     add("classify", _cmd_classify, "which congruences are point-set-fixed")
     return parser
 

@@ -7,13 +7,17 @@ flat tuples in row-major order: the entry for arguments (a0, .., a_{r-1})
 sits at index a0*k^(r-1) + .. + a_{r-1}, i.e. the first argument is the
 most significant digit. Points of a power A^n use the same big-endian
 encoding, so tables, power carriers and product carriers all agree.
+_digits and _encode are the one place these codes are computed over
+arrays, for any radices: no radices give the one empty code, which is how
+constants take the same path as every other arity. encode_point and
+decode_point are their scalar forms for a single point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -47,13 +51,25 @@ def decode_point(code, size, arity):
     return tuple(out)
 
 
+def _digits(sizes):
+    """The big-endian digits of every code below prod(sizes) in radices
+    sizes, as a (len(sizes), prod(sizes)) table: column c holds code c."""
+    return np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes))
+
+
+def _encode(digits, sizes):
+    """The codes in radices sizes of the digit columns of digits, an array
+    of shape (len(sizes), *shape); the inverse of _digits."""
+    code = np.zeros(digits.shape[1:], dtype=np.int64)
+    for d, size in zip(digits, sizes):
+        code = code * size + d
+    return code
+
+
 def _recode(m, k, r, base):
     """For every code below k**r: its big-endian digits mapped by m, encoded
     in radix base."""
-    out = np.zeros(k ** r, dtype=np.int64)
-    for digit in np.indices((k,) * r).reshape(r, k ** r):
-        out = out * base + m[digit]
-    return out
+    return _encode(m[_digits((k,) * r)], (base,) * r)
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +177,7 @@ class FiniteAlgebra:
         r = self.signature.arity(name)
         if len(args) != r:
             raise ArityMismatch(f"{name!r} expects {r} arguments, got {len(args)}")
-        return self.table(name)[encode_point(args, self.size)] if r else self.table(name)[0]
+        return self.table(name)[encode_point(args, self.size)]
 
     @cached_property
     def _np_tables(self):
@@ -206,22 +222,14 @@ def generate_subuniverse(alg, seeds):
     for s in seeds:
         if not 0 <= s < alg.size:
             raise ValidationError(f"seed {s} outside carrier")
-    found = []
-    seen = set()
-    for s in sorted(set(seeds)):
-        found.append(s)
-        seen.add(s)
+    found = sorted(set(seeds))
+    seen = set(found)
     while True:
         frozen = len(found)
-        for (sym, r), tab in zip(alg.signature.symbols, alg.tables):
-            if r == 0:
-                v = tab[0]
-                if v not in seen:
-                    found.append(v)
-                    seen.add(v)
-                continue
-            for args in product(found[:frozen], repeat=r):
-                v = tab[encode_point(args, alg.size)]
+        known = np.array(found, dtype=np.int64)
+        for sym, r in alg.signature.symbols:
+            values = alg.np_table(sym).ravel()[_recode(known, frozen, r, alg.size)]
+            for v in values.tolist():
                 if v not in seen:
                     found.append(v)
                     seen.add(v)
@@ -367,14 +375,10 @@ class Partition:
         """Compatible with every operation of alg?"""
         if alg.size != self.size:
             raise ShapeMismatch("partition size differs from carrier size")
-        if self.size == 0:
-            return True
         lab = np.asarray(self.labels, dtype=np.int64)
         rep_of = _least_members(self.labels)
-        for (sym, r), tab in zip(alg.signature.symbols, alg.tables):
-            if r == 0:
-                continue
-            t = np.asarray(tab, dtype=np.int64)
+        for sym, r in alg.signature.symbols:
+            t = alg.np_table(sym).ravel()
             if not np.array_equal(lab[t], lab[t[_recode(rep_of, self.size, r, self.size)]]):
                 return False
         return True
@@ -412,17 +416,11 @@ def is_homomorphism(h):
     for v in h.mapping:
         if not 0 <= v < h.target.size:
             raise ShapeMismatch(f"image {v} outside target carrier")
-    if h.source.size == 0:
-        return True
     m = np.asarray(h.mapping, dtype=np.int64)
     ks, kt = h.source.size, h.target.size
     for sym, r in h.source.signature.symbols:
-        ts = np.asarray(h.source.table(sym), dtype=np.int64)
-        tt = np.asarray(h.target.table(sym), dtype=np.int64)
-        if r == 0:
-            if m[ts[0]] != tt[0]:
-                return False
-            continue
+        ts = h.source.np_table(sym).ravel()
+        tt = h.target.np_table(sym).ravel()
         if not np.array_equal(m[ts], tt[_recode(m, ks, r, kt)]):
             return False
     return True
@@ -447,41 +445,24 @@ def product_algebra(factors, signature=None, budget=DEFAULT_BUDGET):
 
     sizes = [f.size for f in factors]
     total = 1
-    for s in sizes:
-        total *= s
+    for size in sizes:
+        total *= size
         if total > budget:
             raise BudgetExceeded(f"product carrier exceeds budget {budget}")
 
-    if not factors:
-        tables = tuple(
-            tuple(0 for _ in range(1 if r == 0 else 1 ** r))
-            for _, r in signature.symbols
-        )
-        return FiniteAlgebra(signature, 1, tables, name="trivial")
-
-    digits = np.indices(sizes).reshape(len(factors), total)  # coordinates of each code
-    weights = [1] * len(factors)
-    for i in range(len(factors) - 2, -1, -1):
-        weights[i] = weights[i + 1] * sizes[i + 1]
-
+    digits = _digits(sizes)  # coordinates of each code
     tables = []
     for sym, r in signature.symbols:
-        if r == 0:
-            val = 0
-            for i, f in enumerate(factors):
-                val += f.table(sym)[0] * weights[i]
-            tables.append((int(val),))
-            continue
         if total ** r > budget:
             raise BudgetExceeded(f"product table for {sym!r} exceeds budget {budget}")
-        arg_codes = np.indices((total,) * r).reshape(r, total ** r)
-        out = np.zeros(total ** r, dtype=np.int64)
-        for i, f in enumerate(factors):
-            t = f.np_table(sym)
-            coords = tuple(digits[i][ac] for ac in arg_codes)
-            out += t[coords] * weights[i]
-        tables.append(tuple(int(v) for v in out))
-    return FiniteAlgebra(signature, total, tuple(tables))
+        columns = np.array([
+            f.np_table(sym).ravel()[_recode(d, total, r, f.size)]
+            for f, d in zip(factors, digits)
+        ], dtype=np.int64).reshape(len(factors), total ** r)
+        tables.append(tuple(_encode(columns, sizes).tolist()))
+    return FiniteAlgebra(
+        signature, total, tuple(tables), name="" if factors else "trivial"
+    )
 
 
 def power_algebra(alg, n, budget=DEFAULT_BUDGET):
@@ -506,17 +487,13 @@ def quotient_algebra(alg, part):
         raise ShapeMismatch("partition size differs from carrier size")
     if not part.is_congruence_of(alg):
         raise NotACongruence("partition is not compatible with the operations")
-    reps = [block[0] for block in part.blocks()]
-    tables = []
-    for (sym, r), tab in zip(alg.signature.symbols, alg.tables):
-        if r == 0:
-            tables.append((part.labels[tab[0]],))
-            continue
-        flat = []
-        for args in product(reps, repeat=r):
-            flat.append(part.labels[tab[encode_point(args, alg.size)]])
-        tables.append(tuple(flat))
-    quot = FiniteAlgebra(alg.signature, len(reps), tuple(tables))
+    lab = np.asarray(part.labels, dtype=np.int64)
+    reps = np.unique(_least_members(lab))  # least member of each block
+    tables = tuple(
+        tuple(lab[alg.np_table(sym).ravel()[_recode(reps, len(reps), r, alg.size)]].tolist())
+        for sym, r in alg.signature.symbols
+    )
+    quot = FiniteAlgebra(alg.signature, len(reps), tables)
     proj = Homomorphism(alg, quot, part.labels)
     return quot, proj
 
@@ -539,14 +516,9 @@ def is_subdirect_embedding(h, factors):
     if not is_homomorphism(h):
         raise ShapeMismatch("h is not a homomorphism")
     injective = len(set(h.mapping)) == len(h.mapping)
-    onto = []
-    weights = [1] * len(factors)
-    for i in range(len(factors) - 2, -1, -1):
-        weights[i] = weights[i + 1] * factors[i + 1].size
-    for i, f in enumerate(factors):
-        seen = {(x // weights[i]) % f.size for x in h.mapping}
-        onto.append(len(seen) == f.size)
-    return SubdirectReport(injective=injective, onto_each_factor=tuple(onto))
+    coords = _digits([f.size for f in factors])[:, list(h.mapping)]
+    onto = tuple(len(set(c.tolist())) == f.size for f, c in zip(factors, coords))
+    return SubdirectReport(injective=injective, onto_each_factor=onto)
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     Var,
+    _digits,
+    decode_point,
     encode_point,
 )
 from .errors import (
@@ -49,14 +51,6 @@ def _frozen(array):
     """Mark an array read-only; cached results are shared by every caller."""
     array.flags.writeable = False
     return array
-
-
-def _coordinates(k, n):
-    """coords[i, a] is the i-th coordinate of the point of {0..k-1}^n coded a."""
-    codes = np.arange(k ** n)
-    return np.array(
-        [(codes // k ** (n - 1 - i)) % k for i in range(n)], dtype=np.int64
-    ).reshape(n, k ** n)
 
 
 def _apply_all(table, values, r):
@@ -187,7 +181,7 @@ def _free_cached(generator, arity, budget):
 
     var_positions = tuple(
         intern(row.tobytes(), row, Var(i), (None, (i,)))
-        for i, row in enumerate(_coordinates(generator.size, arity))
+        for i, row in enumerate(_digits((generator.size,) * arity))
     )
 
     while True:
@@ -204,18 +198,17 @@ def _free_cached(generator, arity, budget):
                 raise BudgetExceeded(
                     f"operand tuples for {sym!r} exceed budget {budget}"
                 )
-            shape = (frozen,) * r
             cand = _apply_all(generator.np_table(sym), stacked, r).reshape(-1, npoints)
             keys = cand.view(np.dtype((np.void, cand.itemsize * npoints)))
             found = np.empty(len(cand), dtype=np.int64)
             for g, key in enumerate(keys.ravel().tolist()):
                 p = index.get(key)
                 if p is None:
-                    operands = tuple(int(o) for o in np.unravel_index(g, shape))
+                    operands = decode_point(g, frozen, r)
                     witness = App(sym, tuple(witnesses[o] for o in operands))
                     p = intern(key, cand[g].copy(), witness, (s, operands))
                 found[g] = p
-            tables.append(_frozen(found.reshape(shape)))
+            tables.append(_frozen(found.reshape((frozen,) * r)))
         if len(rows) == frozen:
             break
 
@@ -280,7 +273,7 @@ def ground_space(generator, ground, arity, budget=DEFAULT_BUDGET):
 @lru_cache(maxsize=None)
 def _ground_cached(generator, ground, arity, budget):
     free = free_algebra(generator, arity, budget)
-    coords = _coordinates(ground.size, arity)
+    coords = _digits((ground.size,) * arity)
     ev = _replay(free, ground, coords)
     # column a is a homomorphism sending x_i to a_i: check the generators,
     # then every operation on every operand tuple at once

@@ -18,6 +18,8 @@ from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
     Partition,
+    _digits,
+    _encode,
     _least_members,
     encode_point,
     is_homomorphism,
@@ -271,42 +273,33 @@ def birkhoff_transform(presented, budget=DEFAULT_BUDGET):
     quot, _ = presented.quotient()
     pts = v_of_partition(space, theta).points
 
-    kernels = [point_kernel(space, a) for a in pts]
-    factors = []
-    gammas = []
-    for a, ker in zip(pts, kernels):
-        gamma, _, _ = _gelfand_parts(space, a)
-        factors.append(gamma.source)
-        gammas.append(gamma)
-    factors = tuple(factors)
+    parts = [_gelfand_parts(space, a) for a in pts]
+    gammas = [gamma for gamma, _, _ in parts]
+    kernels = [kernel for _, _, kernel in parts]
+    factors = tuple(gamma.source for gamma in gammas)
 
     prod = product_algebra(
         factors, signature=space.free.signature, budget=budget
     )
-    weights = [1] * len(factors)
-    for i in range(len(factors) - 2, -1, -1):
-        weights[i] = weights[i + 1] * factors[i + 1].size
+    sizes = [f.size for f in factors]
 
-    sigma_map = []
-    for block in theta.blocks():
-        code = 0
-        for i, ker in enumerate(kernels):
-            code += ker.labels[block[0]] * weights[i]
-        sigma_map.append(code)
-    sigma = Homomorphism(quot, prod, tuple(sigma_map))
+    # sigma sends theta's block of p to the code of p's kernel classes
+    labels = np.array(
+        [ker.labels for ker in kernels], dtype=np.int64
+    ).reshape(len(pts), theta.size)
+    reps = np.unique(_least_members(theta.labels))  # least member of each block
+    sigma_map = tuple(_encode(labels[:, reps], sizes).tolist())
+    sigma = Homomorphism(quot, prod, sigma_map)
     if not is_homomorphism(sigma):
         raise AssertionFailure("sigma is not a homomorphism")
 
+    # iota sends a product element to the point of its gamma images
     power = power_algebra(space.ground, len(pts), budget=budget)
-    ka = space.ground.size
-    iota_map = []
-    for code in range(prod.size):
-        val = 0
-        for i in range(len(factors)):
-            cls = (code // weights[i]) % factors[i].size
-            val = val * ka + gammas[i].mapping[cls]
-        iota_map.append(val)
-    iota = Homomorphism(prod, power, tuple(iota_map))
+    images = np.array([
+        np.asarray(gamma.mapping)[d] for gamma, d in zip(gammas, _digits(sizes))
+    ], dtype=np.int64).reshape(len(pts), prod.size)
+    iota_map = tuple(_encode(images, (space.ground.size,) * len(pts)).tolist())
+    iota = Homomorphism(prod, power, iota_map)
     if len(set(iota_map)) != len(iota_map):
         raise AssertionFailure("iota failed to be injective")
     if not is_homomorphism(iota):

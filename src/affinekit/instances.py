@@ -119,11 +119,9 @@ def stone_demo(arity, budget=DEFAULT_BUDGET, generator=None, seed=2026):
     alg = generator if generator is not None else _bool2()
     space = ground_space(alg, alg, arity, budget)
     congruences = all_congruences(space.free.as_algebra(), budget)
-    closed = {v_of_partition(space, th).points: th for th in congruences}
-
-    all_fixed = all(
-        c_operator(v_of_partition(space, th)) == th for th in congruences
-    )
+    solutions = {th: v_of_partition(space, th) for th in congruences}
+    closed = {v.points: th for th, v in solutions.items()}
+    all_fixed = all(c_operator(v) == th for th, v in solutions.items())
     subset_count = 2 ** space.npoints
     rng = random.Random(seed)
     if subset_count <= 2 ** 16:
@@ -149,7 +147,7 @@ def stone_demo(arity, budget=DEFAULT_BUDGET, generator=None, seed=2026):
     if len(pairs) > 4096:
         pairs = rng.sample(pairs, 4096)
     order_ok = True
-    vsets = {th: set(v_of_partition(space, th).points) for th in congruences}
+    vsets = {th: set(v.points) for th, v in solutions.items()}
     for a, b in pairs:
         if a.refines(b) != (vsets[b] <= vsets[a]):
             order_ok = False

@@ -371,6 +371,20 @@ def free_as_algebra(ops, k, n):
     return out_ops, len(elems)
 
 
+def _fresh_tuples(frozen, last, r):
+    """The r-tuples over range(frozen) with an entry of at least last, in
+    the order of product(range(frozen), repeat=r)."""
+    if r == 0:
+        return
+    for i in range(frozen):
+        if i >= last:
+            for rest in product(range(frozen), repeat=r - 1):
+                yield (i,) + rest
+        else:
+            for rest in _fresh_tuples(frozen, last, r - 1):
+                yield (i,) + rest
+
+
 def graph_closure_ground(free, ground):
     """Evaluation of a package free algebra over a ground algebra by the
     graph construction: close the pairs (x_i, i-th coordinate function on
@@ -394,17 +408,22 @@ def graph_closure_ground(free, ground):
     for i in range(arity):
         row = tuple((c // ka ** (arity - 1 - i)) % ka for c in range(npoints))
         add((free.var(i), row))
+    # semi-naive rounds: a tuple of pairs all known a round earlier was
+    # combined then, so only tuples holding a pair of the last round are new
+    last = 0
     while True:
         frozen = len(pairs)
         for sym, r in ground.signature.symbols:
             if r == 0:
                 add((falg.table(sym)[0], tuple(ground.table(sym)[0] for _ in range(npoints))))
                 continue
-            for args in product(pairs[:frozen], repeat=r):
+            for idx in _fresh_tuples(frozen, last, r):
+                args = [pairs[i] for i in idx]
                 fval = falg.op(sym, tuple(p[0] for p in args))
                 add((fval, apply_op(ground.table(sym), ka, [p[1] for p in args], npoints)))
         if len(pairs) == frozen:
             break
+        last = frozen
 
     rows_by_elem = {}
     for fval, row in pairs:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import affinekit
 from affinekit.cli import main, parse_term
 from affinekit.core import App, Var
 from affinekit.errors import ParseError
@@ -294,3 +298,16 @@ def test_not_in_variety_is_domain_error(capsys):
                                 "--points", "1"])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing scipy would about
+    # double a CLI process's peak RSS
+    src = os.path.dirname(os.path.dirname(affinekit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, affinekit.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
