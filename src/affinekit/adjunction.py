@@ -12,6 +12,14 @@ pairs count as carried. Two homomorphisms give the same arrow when they
 induce the same factorized map F(m)/R-closure -> F(n)/R'-closure, so
 arrows are stored by that class map with one witnessing generator-image
 tuple.
+
+Every arrow, a hom set or a single one, comes from one sweep. Witness
+tuples are the columns of an (m, W) table, big-endian over element indices.
+The point side keeps the columns whose graph lies inside S. The relation
+side narrows the live columns by the carried mask of each pair of R in
+turn, so a tuple drops out at its first pair sent outside R' and the
+diagonal, and reads the class maps off the survivors. The arrows are the
+first witness of each distinct graph or class map, in witness order.
 """
 
 from __future__ import annotations
@@ -19,11 +27,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Partition, _encode
+from .core import DEFAULT_BUDGET, Partition, _digits, _encode, _least_members
 from .errors import (
     AssertionFailure,
     BijectionFailure,
@@ -36,7 +43,7 @@ from .free import _replay, free_algebra, ground_space, substitute
 from .galois import AffineSubset, Relation, c_operator, v_operator
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def rel_closure(rel):
     """The equivalence closure of a relation, as a partition of the free
     algebra's elements."""
@@ -45,6 +52,13 @@ def rel_closure(rel):
 
 def _same_context(sa, sb):
     return sa.ground == sb.ground and sa.free.generator == sb.free.generator
+
+
+def _composite_witness(first, second):
+    """The witness of second after first: second's generator images with
+    first's witness substituted into each."""
+    fm, fn = first.target.space.free, first.source.space.free
+    return tuple(substitute(fm, w, first.witness, fn) for w in second.witness)
 
 
 @dataclass(frozen=True)
@@ -62,18 +76,12 @@ class DArrowClass:
             raise ShapeMismatch("arrow endpoints do not compose")
         pos = {a: i for i, a in enumerate(other.source.points)}
         images = tuple(other.images[pos[b]] for b in self.images)
-        fm = self.target.space.free
-        fn = self.source.space.free
-        witness = tuple(
-            substitute(fm, w, self.witness, fn) for w in other.witness
-        )
+        witness = _composite_witness(self, other)
         return DArrowClass(self.source, other.target, images, witness)
 
 
 def d_identity(subset):
-    fn = subset.space.free
-    witness = tuple(fn.var(i) for i in range(subset.space.arity))
-    return DArrowClass(subset, subset, tuple(subset.points), witness)
+    return DArrowClass(subset, subset, subset.points, subset.space.free.var_positions)
 
 
 @dataclass(frozen=True)
@@ -92,77 +100,104 @@ class RArrowClass:
         if other.source != self.target:
             raise ShapeMismatch("arrow endpoints do not compose")
         class_map = tuple(self.class_map[c] for c in other.class_map)
-        fm = self.target.space.free
-        fn = self.source.space.free
-        witness = tuple(
-            substitute(fm, w, self.witness, fn) for w in other.witness
-        )
+        witness = _composite_witness(self, other)
         return RArrowClass(self.source, other.target, class_map, witness)
 
 
 def r_identity(rel):
-    fn = rel.space.free
-    witness = tuple(fn.var(i) for i in range(rel.space.arity))
-    closure = rel_closure(rel)
-    return RArrowClass(rel, rel, tuple(range(closure.num_blocks)), witness)
+    blocks = rel_closure(rel).num_blocks
+    return RArrowClass(rel, rel, tuple(range(blocks)), rel.space.free.var_positions)
 
 
-def _witness_tuples(free, m, budget):
-    """Every m-tuple of elements of free, big-endian over element indices."""
+# --------------------------------------------------------------------------
+# the witness sweep
+
+
+def _witness_columns(free, m, budget):
+    """Every m-tuple of elements of free, as the columns of an (m, W) table
+    in big-endian order over element indices."""
     if free.size ** m > budget:
         raise BudgetExceeded(f"{free.size ** m} witness tuples exceed budget {budget}")
-    return list(product(range(free.size), repeat=m))
+    return _digits((free.size,) * m)
 
 
-def _homomorphism_table(y_space, x_space, witnesses):
+def _homomorphism_table(y_space, x_space, columns):
     """h(p) for every element p of y's free algebra (rows) and every
-    generator-image tuple of witnesses (columns), by clone composition."""
-    fm, fn = y_space.free, x_space.free
-    images = np.array(witnesses, dtype=np.int64).reshape(len(witnesses), fm.arity)
-    return _replay(fm, fn.as_algebra(), images.T)
+    witness column (columns), by clone composition."""
+    return _replay(y_space.free, x_space.free.as_algebra(), columns)
 
 
-def _point_images(space, points, witnesses):
+def _point_images(space, points, columns):
     """Codes of the points (w_1(a), .., w_m(a)) of the ground, one row per
-    witness tuple (w_1, .., w_m), one column per point a of points."""
-    # ndmin=2 and the slice keep an empty list of witnesses a 2-D table
-    w = np.array(witnesses, dtype=np.int64, ndmin=2)[:len(witnesses)].T
-    return _encode(space.ev[:, list(points)][w], (space.ground.size,) * len(w))
+    witness column (w_1, .., w_m), one column per point a of points."""
+    return _encode(space.ev[:, list(points)][columns], (space.ground.size,) * len(columns))
+
+
+def _related(rel):
+    """rel together with the diagonal, as a boolean matrix on the free
+    algebra's elements."""
+    related = np.eye(rel.space.free.size, dtype=bool)
+    p, q = np.array(rel.pairs, dtype=np.int64).reshape(len(rel.pairs), 2).T
+    related[p, q] = True
+    return related
+
+
+def _first_witnesses(columns, images):
+    """(witness, image row) for the first column of columns that realizes
+    each distinct row of images (row j belongs to column j), in column
+    order, both as tuples of Python ints."""
+    rows = np.ascontiguousarray(images)
+    if len(rows) > 1 and rows.shape[1]:
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        first = np.sort(np.unique(keys, return_index=True)[1])
+    else:  # at most one row, or every row is the empty row
+        first = np.arange(min(len(rows), 1))
+    return zip(map(tuple, columns[:, first].T.tolist()), map(tuple, rows[first].tolist()))
+
+
+def _d_arrows(src, dst, columns):
+    """The definable maps src -> dst that the witness columns induce."""
+    images = _point_images(src.space, src.points, columns)
+    member = np.zeros(dst.space.npoints, dtype=bool)
+    member[list(dst.points)] = True
+    inside = member[images].all(axis=1)
+    return [
+        DArrowClass(src, dst, row, w)
+        for w, row in _first_witnesses(columns[:, inside], images[inside])
+    ]
+
+
+def _r_arrows(x, y, columns):
+    """The relation arrows x -> y that the witness columns induce."""
+    h = _homomorphism_table(y.space, x.space, columns)
+    related = _related(x)
+    live = np.arange(h.shape[1])
+    for p, q in y.pairs:
+        live = live[related[h[p, live], h[q, live]]]
+        if not live.size:
+            break
+    xbar = rel_closure(x)
+    ylabels = np.asarray(rel_closure(y).labels, dtype=np.int64)
+    # x-closure classes of the images, in the least dtype that holds them:
+    # the table spans every witness column
+    xlabels = np.asarray(xbar.labels, dtype=np.min_scalar_type(xbar.num_blocks))
+    labels = xlabels[h][:, live]
+    class_maps = labels[np.unique(_least_members(ylabels))]
+    if not (labels == class_maps[ylabels]).all():
+        raise AssertionFailure("carried relation gave an ill-defined class map")
+    return [
+        RArrowClass(x, y, class_map, w)
+        for w, class_map in _first_witnesses(columns[:, live], class_maps.T)
+    ]
 
 
 def _induced_map(src, dst, witness, error):
     """The definable map src -> dst of a generator-image tuple; error is
     raised when an image leaves dst."""
-    images = tuple(_point_images(src.space, src.points, [witness])[0].tolist())
-    if not set(images) <= set(dst.points):
+    arrows = _d_arrows(src, dst, np.array(witness, dtype=np.int64)[:, None])
+    if not arrows:
         raise error
-    return DArrowClass(src, dst, images, witness)
-
-
-def _carries(pairs_set, hp, hq):
-    return hp == hq or (hp, hq) in pairs_set
-
-
-def _make_rarrow(x, y, witness, h=None):
-    """Build the arrow class for a generator-image tuple, verifying the
-    relation is carried; returns None when it is not."""
-    if h is None:
-        h = _homomorphism_table(y.space, x.space, [witness])[:, 0].tolist()
-    xpairs = set(x.pairs)
-    for p, q in y.pairs:
-        if not _carries(xpairs, h[p], h[q]):
-            return None
-    xbar = rel_closure(x)
-    ybar = rel_closure(y)
-    class_map = [None] * ybar.num_blocks
-    for p in range(y.space.free.size):
-        c = ybar.labels[p]
-        lab = xbar.labels[h[p]]
-        if class_map[c] is None:
-            class_map[c] = lab
-        elif class_map[c] != lab:
-            raise AssertionFailure("carried relation gave an ill-defined class map")
-    return RArrowClass(x, y, tuple(class_map), tuple(witness))
+    return arrows[0]
 
 
 def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
@@ -171,15 +206,8 @@ def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
     if not _same_context(src.space, dst.space):
         raise ValidationError("arrows need a common ground and generator")
     src.space.require_ok(src.points)
-    witnesses = _witness_tuples(src.space.free, dst.space.arity, budget)
-    images = _point_images(src.space, src.points, witnesses)
-    inside = np.isin(images, dst.points).all(axis=1)
-    out = {}
-    for witness, row, ok in zip(witnesses, images.tolist(), inside):
-        row = tuple(row)
-        if ok and row not in out:
-            out[row] = DArrowClass(src, dst, row, witness)
-    return tuple(out.values())
+    columns = _witness_columns(src.space.free, dst.space.arity, budget)
+    return tuple(_d_arrows(src, dst, columns))
 
 
 def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
@@ -187,14 +215,7 @@ def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
     tuple that realizes each factorized map."""
     if not _same_context(x.space, y.space):
         raise ValidationError("arrows need a common ground and generator")
-    witnesses = _witness_tuples(x.space.free, y.space.arity, budget)
-    table = _homomorphism_table(y.space, x.space, witnesses)
-    out = {}
-    for witness, h in zip(witnesses, table.T.tolist()):
-        arrow = _make_rarrow(x, y, witness, h)
-        if arrow is not None and arrow.class_map not in out:
-            out[arrow.class_map] = arrow
-    return tuple(out.values())
+    return tuple(_r_arrows(x, y, _witness_columns(x.space.free, y.space.arity, budget)))
 
 
 # --------------------------------------------------------------------------
@@ -209,12 +230,11 @@ def cq_object(subset):
 def cq_arrow(d):
     """The relation arrow induced by a definable map (same witness, free
     algebras swapped)."""
-    x = cq_object(d.source)
-    y = cq_object(d.target)
-    arrow = _make_rarrow(x, y, d.witness)
-    if arrow is None:
+    column = np.array(d.witness, dtype=np.int64)[:, None]
+    arrows = _r_arrows(cq_object(d.source), cq_object(d.target), column)
+    if not arrows:
         raise AssertionFailure("definable map failed to carry the kernel relation")
-    return arrow
+    return arrows[0]
 
 
 def vq_object(rel):
@@ -230,10 +250,8 @@ def vq_arrow(r):
 def _vq_map(source, target, r):
     """vq_arrow(r) between the already computed V(r.source) and
     V(r.target)."""
-    return _induced_map(
-        source, target, r.witness,
-        AssertionFailure("induced map left the target point set"),
-    )
+    error = AssertionFailure("induced map left the target point set")
+    return _induced_map(source, target, r.witness, error)
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +269,8 @@ class AdjunctionReport:
 def _phi(subset, vy, arrow):
     """The correspondence hom(C^q S, y) -> hom(S, V(y)), vy = V(y):
     restrict the witness-induced map to the points."""
-    return _induced_map(
-        subset, vy, arrow.witness,
-        BijectionFailure("correspondence image left V(y)"),
-    )
+    error = BijectionFailure("correspondence image left V(y)")
+    return _induced_map(subset, vy, arrow.witness, error)
 
 
 def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
@@ -270,28 +286,18 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     rhs = hom_set_dq(subset, vy, budget)
 
     mapped = [_phi(subset, vy, a) for a in lhs]
-    bijection_ok = (
-        len(lhs) == len(rhs)
-        and len(set(mapped)) == len(mapped)
-        and set(mapped) == set(rhs)
-    )
+    bijection_ok = len(rhs) == len(set(mapped)) == len(mapped) and set(mapped) == set(rhs)
 
     rng = random.Random(seed)
 
     def sample(items, k):
-        if len(items) <= k:
-            return list(items)
-        return rng.sample(list(items), k)
+        return items if len(items) <= k else rng.sample(items, k)
 
     natural_ok = True
     # vary the source: f: S0 -> S, compare Phi(alpha after C^q f) with
     # Phi(alpha) after f
     companions = [AffineSubset.empty(space), AffineSubset.full(space), subset]
-    seen = set()
-    for s0 in companions:
-        if s0.points in seen:
-            continue
-        seen.add(s0.points)
+    for s0 in dict.fromkeys(companions):
         fs = hom_set_dq(s0, subset, budget)
         cases = [(f, a) for f in fs for a in lhs]
         for f, alpha in sample(cases, 64):
@@ -302,16 +308,10 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
                 natural_ok = False
     # vary the target: g: y -> y1, compare Phi(g after alpha) with
     # V^q g after Phi(alpha)
-    m = y.space.arity
-    fm = y.space.free
     targets = [y, Relation.identity(y.space)]
-    if fm.size:
-        targets.append(Relation.from_partition(y.space, Partition.total(fm.size)))
-    seen = set()
-    for y1 in targets:
-        if y1.pairs in seen:
-            continue
-        seen.add(y1.pairs)
+    if y.space.free.size:
+        targets.append(Relation.from_partition(y.space, Partition.total(y.space.free.size)))
+    for y1 in dict.fromkeys(targets):
         vy1 = vq_object(y1)
         gs = hom_set_rq(y, y1, budget)
         cases = [(g, a) for g in gs for a in lhs]
@@ -345,10 +345,8 @@ def check_stability(rel):
     # translate[u, p] is u(p): the unary term functions replayed in F(n)
     # with x0 sent to every element at once
     translate = _replay(unary, free.as_algebra(), np.arange(free.size)[None])
-    carried = np.eye(free.size, dtype=bool)
     p, q = np.array(rel.pairs, dtype=np.int64).reshape(len(rel.pairs), 2).T
-    carried[p, q] = True
-    return bool(carried[translate[:, p], translate[:, q]].all())
+    return bool(_related(rel)[translate[:, p], translate[:, q]].all())
 
 
 def representability_check(x, stable=False, budget=DEFAULT_BUDGET):

@@ -37,6 +37,7 @@ from .core import (
     _digits,
     decode_point,
     encode_point,
+    format_term,
 )
 from .errors import (
     BudgetExceeded,
@@ -73,8 +74,6 @@ class TermFunction:
     witness: object = field(compare=False)
 
     def term_string(self):
-        from .core import format_term
-
         return format_term(self.witness)
 
 

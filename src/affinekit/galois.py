@@ -21,6 +21,7 @@ from .core import (
     _digits,
     _encode,
     _least_members,
+    decode_point,
     encode_point,
     is_homomorphism,
     power_algebra,
@@ -67,8 +68,6 @@ class AffineSubset:
     def decoded(self):
         k = self.space.ground.size
         n = self.space.arity
-        from .core import decode_point
-
         return tuple(decode_point(a, k, n) for a in self.points)
 
 
@@ -221,7 +220,8 @@ def gelfand_evaluation(space, point):
 def _gelfand_parts(space, a):
     kernel = point_kernel(space, a)
     quot, proj = quotient_algebra(space.free.as_algebra(), kernel)
-    mapping = tuple(int(space.ev[block[0], a]) for block in kernel.blocks())
+    reps = np.unique(_least_members(kernel.labels))  # least member of each block
+    mapping = tuple(space.ev[reps, a].tolist())
     gamma = Homomorphism(quot, space.ground, mapping)
     if len(set(mapping)) != len(mapping) or not is_homomorphism(gamma):
         raise AssertionFailure("gelfand evaluation failed to embed the quotient")
@@ -343,7 +343,7 @@ def nullstellensatz_check(presented):
         if not theta.refines(ker):
             raise AssertionFailure("point kernel fails to contain theta")
     nb = theta.num_blocks
-    reps = [block[0] for block in theta.blocks()]
+    reps = np.unique(_least_members(theta.labels)).tolist()
     tuples = set()
     onto = all(
         len({ker.labels[r] for r in reps}) == ker.num_blocks for ker in kernels

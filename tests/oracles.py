@@ -440,6 +440,52 @@ def graph_closure_ground(free, ground):
     return ev, point_ok
 
 
+def closure_labels(size, pairs):
+    """Normalized labels of the equivalence closure of pairs on range(size)."""
+    labels = list(range(size))
+    for a, b in pairs:
+        _merge(labels, a, b)
+    return _normalize(labels)
+
+
+def point_arrows(ev_rows, k, src_points, dst_points, witnesses):
+    """Definable maps, one witness tuple at a time: w induces the graph
+    a -> code of (w_1(a), .., w_m(a)) over src_points, kept when it lands
+    in dst_points. Returns (first witness, graph) per distinct graph, in
+    witness order."""
+    dst = set(dst_points)
+    out = {}
+    for w in witnesses:
+        row = tuple(encode([ev_rows[i][a] for i in w], k) for a in src_points)
+        if set(row) <= dst:
+            out.setdefault(row, w)
+    return [(w, row) for row, w in out.items()]
+
+
+def relation_arrows(tables_m, tables_n, k, n, x_pairs, y_pairs, witnesses):
+    """Relation arrows (F(n), x) -> (F(m), y), one witness tuple at a time.
+    Elements are value tables over the k-element generator; w gives the
+    homomorphism h: F(m) -> F(n) substituting w_i for x_i, kept when every
+    pair of y goes to a pair of x or to a reflexive pair. Returns (first
+    witness, class map) per distinct class map, in witness order."""
+    index = {t: i for i, t in enumerate(tables_n)}
+    xset = set(x_pairs)
+    xbar = closure_labels(len(tables_n), x_pairs)
+    ybar = closure_labels(len(tables_m), y_pairs)
+    out = {}
+    for w in witnesses:
+        inner = [tables_n[i] for i in w]
+        h = [index[apply_op(t, k, inner, k ** n)] for t in tables_m]
+        if any(h[p] != h[q] and (h[p], h[q]) not in xset for p, q in y_pairs):
+            continue
+        class_map = {}
+        for p, c in enumerate(ybar):
+            if class_map.setdefault(c, xbar[h[p]]) != xbar[h[p]]:
+                raise AssertionError("carried relation gave an ill-defined class map")
+        out.setdefault(tuple(class_map[c] for c in sorted(class_map)), w)
+    return [(w, class_map) for class_map, w in out.items()]
+
+
 # Operation tables for the builtin two-element and cyclic algebras,
 # written out longhand so nothing is shared with the package.
 BOOL2 = {

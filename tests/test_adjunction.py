@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from affinekit.adjunction import (
     RArrowClass,
@@ -22,6 +25,8 @@ from affinekit.errors import BudgetExceeded, NotStable, ValidationError
 from affinekit.free import enumerate_homs_free, ground_space
 from affinekit.galois import AffineSubset, Relation, c_operator
 
+import oracles
+from test_clone import MAX_ARITY, generators, grounds
 from test_core import bool2, semilat2, z4
 from test_free import z2
 
@@ -216,6 +221,89 @@ def test_rq_against_quotient_homs():
                 assert via_arrows == via_homs
 
 
+def random_points(rng, points):
+    points = list(points)
+    kind = rng.choice(["empty", "full", "some"])
+    if kind == "empty":
+        return []
+    return points if kind == "full" else [a for a in points if rng.random() < 0.5]
+
+
+def random_relation(rng, space):
+    """Empty, total, a kernel C(S), or a few arbitrary pairs (mostly not an
+    equivalence)."""
+    size = space.free.size
+    kind = rng.choice(["empty", "total", "kernel", "kernel", "pairs", "pairs"])
+    if not size or kind == "empty":
+        return Relation.identity(space)
+    if kind == "total":
+        return Relation.from_partition(space, Partition.total(size))
+    if kind == "kernel":
+        ok = [a for a in range(space.npoints) if space.point_ok[a]]
+        return cq_object(AffineSubset.of(space, random_points(rng, ok)))
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 4))]
+    return Relation.of(space, pairs)
+
+
+def python_ints(arrows, attr):
+    return all(type(v) is int for a in arrows for v in a.witness + getattr(a, attr))
+
+
+@st.composite
+def arrow_cases(draw):
+    """(generator, ground, n, m): |G|^n <= 4 and |G|^m <= 4 keep every free
+    algebra at 27 elements or fewer and every hom set at 256 witness tuples
+    or fewer. n >= 1 here; the explicit examples cover an empty F(n)."""
+    g, _ = draw(generators())
+    n = draw(st.integers(1, MAX_ARITY[g.size]))
+    m = draw(st.integers(0, MAX_ARITY[g.size]))
+    return g, draw(grounds(g, max(n, m)))[0], n, m
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(arrow_cases(), st.randoms(use_true_random=False))
+@example((semilat2(), semilat2(), 0, 1), random.Random(0))  # F(n) is empty
+@example((semilat2(), semilat2(), 0, 0), random.Random(0))  # one empty witness
+@example((semilat2(), semilat2(), 1, 0), random.Random(1))  # F(m) is empty
+@example((bool2(), bool2(), 1, 2), random.Random(2))
+def test_sweep_matches_per_tuple_oracle_on_random_algebras(case, rng):
+    g, ground, n, m = case
+    sn, sm = ground_space(g, ground, n), ground_space(g, ground, m)
+    tables_n = [e.table for e in sn.free.elements]
+    tables_m = [e.table for e in sm.free.elements]
+    witnesses = list(product(range(sn.free.size), repeat=m))
+
+    def point_arrows(src, dst, ws):
+        return oracles.point_arrows(sn.ev.tolist(), ground.size, src.points, dst.points, ws)
+
+    def relation_arrows(x, y, ws):
+        return oracles.relation_arrows(tables_m, tables_n, g.size, n, x.pairs, y.pairs, ws)
+
+    ok_n = [a for a in range(sn.npoints) if sn.point_ok[a]]
+    src = AffineSubset.of(sn, random_points(rng, ok_n))
+    dst = AffineSubset.of(sm, random_points(rng, range(sm.npoints)))
+    ds = hom_set_dq(src, dst)
+    assert [(d.witness, d.images) for d in ds] == point_arrows(src, dst, witnesses)
+    assert python_ints(ds, "images")
+
+    x, y = random_relation(rng, sn), random_relation(rng, sm)
+    rs = hom_set_rq(x, y)
+    assert [(r.witness, r.class_map) for r in rs] == relation_arrows(x, y, witnesses)
+    assert python_ints(rs, "class_map")
+
+    # single arrows are the one-column sweep
+    if all(sm.point_ok[a] for a in dst.points):
+        cx, cy = cq_object(src), cq_object(dst)
+        for d in ds:
+            c = cq_arrow(d)
+            assert [(c.witness, c.class_map)] == relation_arrows(cx, cy, [d.witness])
+    if sn.ok and sm.ok:
+        vx, vy = vq_object(x), vq_object(y)
+        for r in rs:
+            d = vq_arrow(r)
+            assert [(d.witness, d.images)] == point_arrows(vx, vy, [r.witness])
+
+
 # --- functors ---------------------------------------------------------------
 
 
@@ -224,6 +312,18 @@ def test_cq_functor_objects():
     s = AffineSubset.of(sp, [1])
     x = cq_object(s)
     assert rel_closure(x) == c_operator(s)
+
+
+def test_rel_closure_cache_is_bounded():
+    sp = ground_space(z4(), z4(), 2)
+    size = sp.free.size
+    bound = rel_closure.cache_info().maxsize
+    assert bound is not None and size * size > bound
+    for a in range(size):
+        for b in range(size):
+            rel = Relation.of(sp, [(a, b)])
+            assert rel_closure(rel) == Partition.from_pairs(size, rel.pairs)
+            assert rel_closure.cache_info().currsize <= bound
 
 
 def test_functoriality_sampled():

@@ -13,6 +13,7 @@ import hashlib
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -110,7 +111,8 @@ def test_homomorphism_table_matches_pointwise_composition(name, ns, nd):
     ys, xs = ground_space(g, g, ns), ground_space(g, g, nd)
     fs, fd = ys.free, xs.free
     witnesses = list(product(range(fd.size), repeat=ns))
-    table = _homomorphism_table(ys, xs, witnesses)
+    columns = np.array(witnesses, dtype=np.int64).reshape(len(witnesses), ns).T
+    table = _homomorphism_table(ys, xs, columns)
     assert table.shape == (fs.size, len(witnesses))
     for column, w in zip(table.T.tolist(), witnesses):
         inner = [fd.elements[i].table for i in w]

@@ -6,6 +6,7 @@ empty code: no factors, no witnesses, no solutions."""
 
 from itertools import product
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,8 +139,10 @@ def test_empty_codes():
 
     # m = 0: the one witness () sends every point to the one point of A^0
     gs = ground_space(bool2, bool2, 1)
-    assert _point_images(gs, [0, 1], [()]).tolist() == [[0, 0]]
-    assert _point_images(gs, [0, 1], []).shape == (0, 2)
+    one_empty = np.zeros((0, 1), dtype=np.int64)  # witness columns
+    no_witness = np.zeros((0, 0), dtype=np.int64)
+    assert _point_images(gs, [0, 1], one_empty).tolist() == [[0, 0]]
+    assert _point_images(gs, [0, 1], no_witness).shape == (0, 2)
 
     # V(theta) is empty: no factors, and sigma and iota land in one point
     rep = birkhoff_transform(PresentedAlgebra(gs, Partition.total(4)))
@@ -152,5 +155,5 @@ def test_empty_codes():
     semilat = builtin("semilat2")
     empty = ground_space(semilat, semilat, 0)
     assert empty.free.size == 0
-    assert _point_images(empty, [0], []).shape == (0, 1)
-    assert _point_images(empty, [0], [()]).tolist() == [[0]]
+    assert _point_images(empty, [0], no_witness).shape == (0, 1)
+    assert _point_images(empty, [0], one_empty).tolist() == [[0]]

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from affinekit.core import (
     Homomorphism,
@@ -43,16 +44,36 @@ from test_core import bool2, semilat2, z4
 from test_free import distlat2, impl2, z2
 
 
+BUILTIN_CASES = [  # (generator, arity, ground)
+    (bool2(), 1, bool2()),
+    (bool2(), 2, bool2()),
+    (z4(), 1, z4()),
+    (z4(), 1, z2()),
+    (semilat2(), 2, semilat2()),
+    (distlat2(), 2, distlat2()),
+    (z2(), 2, z2()),
+]
+
+
 def spaces():
-    return [
-        ground_space(bool2(), bool2(), 1),
-        ground_space(bool2(), bool2(), 2),
-        ground_space(z4(), z4(), 1),
-        ground_space(z4(), z2(), 1),
-        ground_space(semilat2(), semilat2(), 2),
-        ground_space(distlat2(), distlat2(), 2),
-        ground_space(z2(), z2(), 2),
-    ]
+    return [ground_space(g, ground, n) for g, n, ground in BUILTIN_CASES]
+
+
+def on_builtins_and_random_algebras(test):
+    """Run a property of (ground case, rng) on every builtin space, then on
+    drawn ground cases that lie in the variety."""
+    for g, n, ground in reversed(BUILTIN_CASES):
+        test = example((g, n, ground, True), random.Random(7))(test)
+    settle = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+    return settle(given(ground_cases(), st.randoms(use_true_random=False))(test))
+
+
+def ok_space(case):
+    g, n, ground, _ = case
+    gs = ground_space(g, ground, n)
+    assume(gs.ok)
+    return gs
 
 
 def test_c_operator_bool2():
@@ -81,32 +102,39 @@ def test_v_operator_edges():
     assert v_operator(Relation.of(gs, [(0, 1)])).points == ()  # x == not x
 
 
-def test_galois_laws_random():
-    rng = random.Random(7)
-    for gs in spaces():
-        m = gs.free.size
-        for _ in range(12):
-            pts = [a for a in range(gs.npoints) if rng.random() < 0.4]
-            s = AffineSubset.of(gs, pts)
-            theta = c_operator(s)
-            closure = zariski_closure(s)
-            assert set(s.points) <= set(closure.points)
-            # C(V(C(S))) == C(S)
-            assert c_operator(closure) == theta
-            if m:
-                pairs = [
-                    (rng.randrange(m), rng.randrange(m)) for _ in range(3)
-                ]
-                r = Relation.of(gs, pairs)
-                v = v_operator(r)
-                cv = c_operator(v)
-                for p, q in r.pairs:
-                    assert cv.together(p, q)
-                # V(C(V(R))) == V(R)
-                assert v_of_partition(gs, cv).points == v.points
-            # antitone: bigger subsets give finer kernels
-            pts2 = sorted(set(pts) | {a for a in range(gs.npoints) if rng.random() < 0.3})
-            assert c_operator(AffineSubset.of(gs, pts2)).refines(theta)
+@on_builtins_and_random_algebras
+def test_galois_laws_random(case, rng):
+    gs = ok_space(case)
+    m = gs.free.size
+    for _ in range(12):
+        pts = [a for a in range(gs.npoints) if rng.random() < 0.4]
+        s = AffineSubset.of(gs, pts)
+        theta = c_operator(s)
+        closure = zariski_closure(s)
+        # VC is extensive and idempotent
+        assert set(s.points) <= set(closure.points)
+        assert zariski_closure(closure) == closure
+        # C(V(C(S))) == C(S)
+        assert c_operator(closure) == theta
+        if m:
+            pairs = [
+                (rng.randrange(m), rng.randrange(m)) for _ in range(3)
+            ]
+            r = Relation.of(gs, pairs)
+            v = v_operator(r)
+            cv = c_operator(v)
+            # CV is extensive and idempotent
+            for p, q in r.pairs:
+                assert cv.together(p, q)
+            assert c_operator(v_of_partition(gs, cv)) == cv
+            # V(C(V(R))) == V(R)
+            assert v_of_partition(gs, cv).points == v.points
+            # antitone: more pairs give fewer points
+            more = Relation.of(gs, pairs + [(rng.randrange(m), rng.randrange(m))])
+            assert set(v_operator(more).points) <= set(v.points)
+        # antitone: bigger subsets give finer kernels
+        pts2 = sorted(set(pts) | {a for a in range(gs.npoints) if rng.random() < 0.3})
+        assert c_operator(AffineSubset.of(gs, pts2)).refines(theta)
 
 
 def test_c_v_match_brute_force():
@@ -238,14 +266,16 @@ def test_nullstellensatz_z4_over_z2():
     assert rep.holds
 
 
-def test_nullstellensatz_equivalence_everywhere():
-    # the three tests must agree on every congruence of every instance;
+@on_builtins_and_random_algebras
+def test_nullstellensatz_equivalence_everywhere(case, rng):
+    # the three tests must agree on every congruence of every instance
+    # (32 drawn ones on a larger lattice; no builtin space has more);
     # nullstellensatz_check raises EquivalenceViolation otherwise
-    for gs in spaces():
-        falg = gs.free.as_algebra()
-        for theta in all_congruences(falg):
-            rep = nullstellensatz_check(PresentedAlgebra(gs, theta))
-            assert rep.fixed == rep.radical == rep.subdirect
+    gs = ok_space(case)
+    cons = all_congruences(gs.free.as_algebra())
+    for theta in rng.sample(cons, min(len(cons), 32)):
+        rep = nullstellensatz_check(PresentedAlgebra(gs, theta))
+        assert rep.fixed == rep.radical == rep.subdirect
 
 
 def test_nullstellensatz_empty_free_algebra():
