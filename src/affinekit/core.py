@@ -525,38 +525,22 @@ def is_subdirect_embedding(h, factors):
 # the full congruence lattice
 
 
-def _join_closure(base, size, budget):
-    """Close a set of partitions under pairwise join (with identity)."""
-    interned = {}
-    order = []
-
-    def intern(p):
-        if p.labels not in interned:
-            interned[p.labels] = p
-            order.append(p)
-            if len(order) > budget:
-                raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
-        return interned[p.labels]
-
-    intern(Partition.identity(size))
-    for p in base:
-        intern(p)
-    memo = {}
-    frontier = list(order)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in base:
-                key = (p.labels, q.labels) if p.labels <= q.labels else (q.labels, p.labels)
-                if key in memo:
-                    continue
-                j = p.join(q)
-                memo[key] = j
-                if j.labels not in interned:
-                    intern(j)
-                    nxt.append(j)
-        frontier = nxt
-    return order
+def _close(unit, gens, op, budget, what):
+    """The ops of all subsets of gens, unit standing for the empty one, for
+    an associative, commutative and idempotent op. The generators come in
+    one at a time: once the i-th is in, the members are the ops of the
+    subsets of the first i, so each pass combines every member found so far
+    with the new generator once. BudgetExceeded ("<what> budget <budget>")
+    when the members outnumber budget."""
+    found = {unit}
+    for g in gens:
+        for s in list(found):
+            t = op(s, g)
+            if t not in found:
+                found.add(t)
+                if len(found) > budget:
+                    raise BudgetExceeded(f"{what} budget {budget}")
+    return found
 
 
 def _unary_translations(alg):
@@ -673,10 +657,11 @@ def all_congruences(alg, budget=DEFAULT_BUDGET):
     The principal congruences Cg(a, b) of one b, for all a < b, come from
     one closure call with a row per pair (k - 1 calls in all), which joins
     in known principal congruences of earlier b whole. Every congruence is
-    a join of join-irreducible ones, and those are principal, so only the
-    principals that are not the join of the principals strictly below them
-    are closed under join. BudgetExceeded when the principals or the
-    lattice outgrow budget."""
+    a join of join-irreducible ones, and those are principal, so the
+    lattice is _close of the identity under join with the principals that
+    are not the join of the principals strictly below them: a lattice of L
+    congruences from J join-irreducibles costs fewer than J * L joins.
+    BudgetExceeded when the principals or the lattice outgrow budget."""
     k = alg.size
     if k == 0:
         return (Partition(0, ()),)
@@ -691,5 +676,6 @@ def all_congruences(alg, budget=DEFAULT_BUDGET):
         rows, first = np.unique(of_pair[a * k + b], return_index=True)
         reps = np.vstack([reps, cg[first[rows >= len(reps)]]])
     base = [_partition(rep) for rep in _join_irreducibles(reps)]
-    lattice = _join_closure(base, k, budget)
+    lattice = _close(Partition.identity(k), base, Partition.join, budget,
+                     "congruence lattice exceeds")
     return tuple(sorted(lattice, key=lambda p: p.labels))

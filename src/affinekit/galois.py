@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
     Partition,
+    _close,
     _digits,
     _encode,
     _least_members,
@@ -30,7 +31,6 @@ from .core import (
 )
 from .errors import (
     AssertionFailure,
-    BudgetExceeded,
     EquivalenceViolation,
     NotACongruence,
     NotInjective,
@@ -150,14 +150,11 @@ def c_operator(subset):
 
 
 def v_operator(rel):
-    """Points where every pair of the relation evaluates equally. The empty
-    relation gives the whole space."""
+    """Points where every pair of the relation evaluates equally: V of its
+    equivalence closure, since evaluating equally is an equivalence. The
+    empty relation gives the whole space."""
     space = rel.space
-    space.require_ok()
-    mask = np.ones(space.npoints, dtype=bool)
-    for p, q in rel.pairs:
-        mask &= space.ev[p] == space.ev[q]
-    return AffineSubset.of(space, np.nonzero(mask)[0])
+    return v_of_partition(space, Partition.from_pairs(space.free.size, rel.pairs))
 
 
 def v_of_partition(space, part):
@@ -372,35 +369,43 @@ class ZariskiReport:
     matches_discrete: bool
 
 
+def _meet_irreducibles(bits):
+    """The rows of bits (distinct point sets as bool rows) that are not the
+    AND of the rows strictly containing them, the AND of no rows being the
+    whole space. Rows are checked 64 at a time against all rows, so the
+    temporaries stay at 64 times the rows or the points."""
+    lack = (~bits).astype(np.float64)
+    keep = np.zeros(len(bits), dtype=bool)
+    for lo in range(0, len(bits), 64):
+        chunk = bits[lo:lo + 64]
+        above = chunk @ lack.T == 0  # above[i, j]: row j contains row lo + i
+        above[np.arange(len(chunk)), np.arange(lo, lo + len(chunk))] = False
+        keep[lo:lo + 64] = ((above @ lack == 0) != chunk).any(axis=1)
+    return bits[keep]
+
+
 def zariski_report(space, budget=DEFAULT_BUDGET):
     """All closed point sets of the instance, with structure flags.
 
     The agreement mask of a pair p < q of elements is V({(p, q)}), the
     points where they evaluate equally. V(C(S)) is the intersection of the
     masks that contain S, so the closed sets are exactly the intersections
-    of masks, the whole space being the empty one. They are found by closing
-    {whole space} under intersection with each mask; budget bounds their
-    number. Unions of closed sets are closed iff a | b is closed for any
-    two masks, since the union of the intersections of A and of B is the
-    intersection of all a | b. Closed sets come sorted by bitmask."""
+    of masks, the whole space being the empty one. A mask that is the
+    intersection of the masks strictly containing it adds none, so only the
+    meet-irreducible masks go to _close under AND; budget bounds the closed
+    sets. Unions of closed sets are closed iff a | b is closed for any two
+    of those masks, since the union of the intersections of A and of B is
+    the intersection of all a | b. Closed sets come sorted by bitmask."""
     space.require_ok()
     npts, ev = space.npoints, space.ev
     rows = set()
     for p in range(1, space.free.size):
-        rows.update(map(bytes, np.packbits(ev[:p] == ev[p], axis=1, bitorder="little")))
-    masks = [int.from_bytes(r, "little") for r in rows]
+        rows.update(map(bytes, ev[:p] == ev[p]))
+    bits = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(rows), npts)
+    packed = np.packbits(_meet_irreducibles(bits), axis=1, bitorder="little")
+    masks = [int.from_bytes(r.tobytes(), "little") for r in packed]
 
-    full = (1 << npts) - 1
-    closed, todo = {full}, [full]
-    while todo:
-        s = todo.pop()
-        for mk in masks:
-            t = s & mk
-            if t not in closed:
-                closed.add(t)
-                todo.append(t)
-                if len(closed) > budget:
-                    raise BudgetExceeded(f"closed sets exceed budget {budget}")
+    closed = _close((1 << npts) - 1, masks, int.__and__, budget, "closed sets exceed")
     union_closed = all((a | b) in closed for a in masks for b in masks)
     return ZariskiReport(
         closed_sets=tuple(

@@ -352,6 +352,20 @@ def brute_v(ev_rows, npoints, pairs):
     )
 
 
+def meet_irreducible_sets(sets, npoints):
+    """The point sets (tuples) that differ from the intersection of the sets
+    strictly containing them, the intersection of none being all points."""
+    out = set()
+    for a in sets:
+        meet = set(range(npoints))
+        for b in sets:
+            if set(a) < set(b):
+                meet &= set(b)
+        if meet != set(a):
+            out.add(a)
+    return out
+
+
 def free_as_algebra(ops, k, n):
     """The free algebra on n generators as (ops dict, size) on the sorted
     value tables of brute_clone, operations acting pointwise."""

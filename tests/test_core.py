@@ -6,6 +6,7 @@ from affinekit.core import (
     Homomorphism,
     Partition,
     Var,
+    _close,
     all_congruences,
     decode_point,
     encode_point,
@@ -191,6 +192,17 @@ def _free_bool1():
         ("0", 0, (idx[(0, 0)],)),
         ("1", 0, (idx[(1, 1)],)),
     ])
+
+
+def test_close_is_every_op_of_a_subset():
+    # 1 and 3, and 3 and 6, share a bit: 16 subsets give 10 distinct unions
+    gens = [1, 3, 6, 8]
+    want = {a | b | c | d for a in (0, 1) for b in (0, 3) for c in (0, 6) for d in (0, 8)}
+    assert len(want) == 10
+    assert _close(0, gens, int.__or__, len(want), "sets exceed") == want
+    with pytest.raises(BudgetExceeded, match=f"^sets exceed budget {len(want) - 1}$"):
+        _close(0, gens, int.__or__, len(want) - 1, "sets exceed")
+    assert _close(7, [], int.__and__, 1, "sets exceed") == {7}
 
 
 def test_partition_basics():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from affinekit.core import (
     Homomorphism,
     Partition,
+    _join_irreducibles,
+    _least_members,
     all_congruences,
     decode_point,
     is_homomorphism,
@@ -24,6 +27,7 @@ from affinekit.galois import (
     AffineSubset,
     PresentedAlgebra,
     Relation,
+    _meet_irreducibles,
     birkhoff_transform,
     c_operator,
     gelfand_evaluation,
@@ -37,6 +41,8 @@ from affinekit.galois import (
     zariski_closure,
     zariski_report,
 )
+
+from affinekit.instances import builtin, list_builtins
 
 import oracles
 from test_clone import ground_cases
@@ -358,3 +364,55 @@ def test_zariski_report_matches_subset_scan_on_random_algebras(case):
     assert rep.union_closed == union_closed
     assert rep.is_topology == (union_closed and () in closed and full in closed)
     assert rep.matches_discrete == (len(closed) == 2 ** gs.npoints)
+
+
+def agreement_masks(gs):
+    """The distinct agreement masks V({(p, q)}) of gs, as bool rows."""
+    rows = gs.ev.tolist()
+    masks = {tuple(a == b for a, b in zip(rows[p], rows[q]))
+             for p in range(len(rows)) for q in range(p)}
+    return np.array(sorted(masks), dtype=bool).reshape(len(masks), gs.npoints)
+
+
+def point_sets(bits):
+    return [tuple(np.flatnonzero(row).tolist()) for row in bits]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ground_cases())
+@example((semilat2(), 0, semilat2(), True))  # an empty free algebra: no masks
+@example((z4(), 2, z2(), True))  # z4 over z2-in-z4: 0 and x0 + x0 give the full mask
+@example((semilat2(), 4, semilat2(), True))  # 105 masks: two chunks of rows
+def test_meet_irreducible_masks_match_oracle(case):
+    g, n, ground, _ = case
+    gs = ground_space(g, ground, n)
+    bits = agreement_masks(gs)
+    got = point_sets(_meet_irreducibles(bits))
+    assert len(set(got)) == len(got)
+    assert set(got) == oracles.meet_irreducible_sets(point_sets(bits), gs.npoints)
+
+
+def test_meet_irreducible_masks_match_join_irreducible_congruences():
+    # where C and V are mutually inverse bijections, the two lattices are
+    # dual, so meet-irreducible masks and join-irreducible congruences
+    # are equinumerous
+    counts = {}
+    for name in list_builtins():
+        for n in range(4):
+            gs = ground_space(builtin(name), builtin(name), n)
+            cons = all_congruences(gs.free.as_algebra())
+            if len(cons) != len(zariski_report(gs).closed_sets):
+                continue
+            joins = _join_irreducibles(np.array([_least_members(c.labels) for c in cons]))
+            counts[name, n] = len(_meet_irreducibles(agreement_masks(gs)))
+            assert counts[name, n] == len(joins)
+    assert counts["bool2", 3] == 8
+    assert counts["semilat2", 3] == 9
+    assert counts["z4", 3] == 35
+
+
+def test_zariski_report_reaches_distlat2_at_arity_4():
+    gs = ground_space(distlat2(), distlat2(), 4)
+    rep = zariski_report(gs)
+    assert len(rep.closed_sets) == 65536
+    assert rep.is_topology and rep.matches_discrete
