@@ -20,6 +20,9 @@ side narrows the live columns by the carried mask of each pair of R in
 turn, so a tuple drops out at its first pair sent outside R' and the
 diagonal, and reads the class maps off the survivors. The arrows are the
 first witness of each distinct graph or class map, in witness order.
+verify_adjunction checks the sampled naturality squares of one companion
+object together: one side composes witnesses in the clone and evaluates
+them at the points, the other composes graphs.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _composite_witness(first, second):
     """The witness of second after first: second's generator images with
     first's witness substituted into each."""
     fm, fn = first.target.space.free, first.source.space.free
-    return tuple(substitute(fm, w, first.witness, fn) for w in second.witness)
+    return tuple(substitute(fm, second.witness, first.witness, fn).tolist())
 
 
 @dataclass(frozen=True)
@@ -155,20 +158,40 @@ def _first_witnesses(columns, images):
     return zip(map(tuple, columns[:, first].T.tolist()), map(tuple, rows[first].tolist()))
 
 
+def _witness_table(witnesses, m):
+    """Generator-image m-tuples as the columns of an (m, W) table."""
+    return np.array(witnesses, dtype=np.int64).reshape(len(witnesses), m).T
+
+
+def _inside(dst, images):
+    """Whether each row of point codes lies inside dst."""
+    member = np.zeros(dst.space.npoints, dtype=bool)
+    member[list(dst.points)] = True
+    return member[images].all(axis=1)
+
+
+def _images_inside(src, dst, columns, error):
+    """The point images of src under the witness columns, one row each;
+    error is raised when one leaves dst."""
+    images = _point_images(src.space, src.points, columns)
+    if not _inside(dst, images).all():
+        raise error
+    return images
+
+
 def _d_arrows(src, dst, columns):
     """The definable maps src -> dst that the witness columns induce."""
     images = _point_images(src.space, src.points, columns)
-    member = np.zeros(dst.space.npoints, dtype=bool)
-    member[list(dst.points)] = True
-    inside = member[images].all(axis=1)
+    inside = _inside(dst, images)
     return [
         DArrowClass(src, dst, row, w)
         for w, row in _first_witnesses(columns[:, inside], images[inside])
     ]
 
 
-def _r_arrows(x, y, columns):
-    """The relation arrows x -> y that the witness columns induce."""
+def _carried(x, y, columns):
+    """The indices of the witness columns whose homomorphism carries y into
+    x, and the class map of each of them, one column per index."""
     h = _homomorphism_table(y.space, x.space, columns)
     related = _related(x)
     live = np.arange(h.shape[1])
@@ -185,19 +208,16 @@ def _r_arrows(x, y, columns):
     class_maps = labels[np.unique(_least_members(ylabels))]
     if not (labels == class_maps[ylabels]).all():
         raise AssertionFailure("carried relation gave an ill-defined class map")
+    return live, class_maps
+
+
+def _r_arrows(x, y, columns):
+    """The relation arrows x -> y that the witness columns induce."""
+    live, class_maps = _carried(x, y, columns)
     return [
         RArrowClass(x, y, class_map, w)
         for w, class_map in _first_witnesses(columns[:, live], class_maps.T)
     ]
-
-
-def _induced_map(src, dst, witness, error):
-    """The definable map src -> dst of a generator-image tuple; error is
-    raised when an image leaves dst."""
-    arrows = _d_arrows(src, dst, np.array(witness, dtype=np.int64)[:, None])
-    if not arrows:
-        raise error
-    return arrows[0]
 
 
 def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
@@ -244,14 +264,11 @@ def vq_object(rel):
 
 def vq_arrow(r):
     """The definable map induced by a relation arrow (same witness)."""
-    return _vq_map(vq_object(r.source), vq_object(r.target), r)
-
-
-def _vq_map(source, target, r):
-    """vq_arrow(r) between the already computed V(r.source) and
-    V(r.target)."""
-    error = AssertionFailure("induced map left the target point set")
-    return _induced_map(source, target, r.witness, error)
+    column = np.array(r.witness, dtype=np.int64)[:, None]
+    arrows = _d_arrows(vq_object(r.source), vq_object(r.target), column)
+    if not arrows:
+        raise AssertionFailure("induced map left the target point set")
+    return arrows[0]
 
 
 # --------------------------------------------------------------------------
@@ -266,18 +283,24 @@ class AdjunctionReport:
     natural_ok: bool
 
 
-def _phi(subset, vy, arrow):
-    """The correspondence hom(C^q S, y) -> hom(S, V(y)), vy = V(y):
-    restrict the witness-induced map to the points."""
-    error = BijectionFailure("correspondence image left V(y)")
-    return _induced_map(subset, vy, arrow.witness, error)
+def _composites(firsts, which, seconds, fm, fn):
+    """Column c of seconds (in fm) with the witness of firsts[which[c]] (in
+    fn) substituted in, by one substitute call per distinct first arrow."""
+    out = np.empty(seconds.shape, dtype=np.int64)
+    for i in np.unique(which):
+        at = which == i
+        out[:, at] = substitute(fm, seconds[:, at], firsts[i].witness, fn)
+    return out
 
 
 def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
-    """Count hom(C^q S, y) and hom(S, V(y)), check the explicit
-    correspondence is a bijection, and check naturality squares in both
-    coordinates (exhaustively up to 64 cases, sampled beyond)."""
-    space = subset.space
+    """Count hom(C^q S, y) and hom(S, V(y)), check that Phi (restrict the
+    witness-induced map to S) is a bijection between them, and check the
+    naturality squares in both coordinates, exhaustively up to 64 cases per
+    companion and sampled beyond. A companion's squares are checked at once,
+    each side by its own route: Phi of the composite through clone
+    composition, the other side through graphs."""
+    space, free = subset.space, subset.space.free
     if not _same_context(space, y.space):
         raise ValidationError("adjunction needs a common ground and generator")
     x = cq_object(subset)
@@ -285,27 +308,31 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     lhs = hom_set_rq(x, y, budget)
     rhs = hom_set_dq(subset, vy, budget)
 
-    mapped = [_phi(subset, vy, a) for a in lhs]
-    bijection_ok = len(rhs) == len(set(mapped)) == len(mapped) and set(mapped) == set(rhs)
+    # phi[j] is the graph of Phi(lhs[j]) over the points of S
+    alphas = _witness_table([a.witness for a in lhs], y.space.arity)
+    escape = BijectionFailure("correspondence image left V(y)")
+    phi = _images_inside(subset, vy, alphas, escape)
+    bijection_ok = sorted(map(tuple, phi.tolist())) == sorted(d.images for d in rhs)
 
     rng = random.Random(seed)
 
-    def sample(items, k):
-        return items if len(items) <= k else rng.sample(items, k)
+    def sample(arrows):  # indices into arrows and into lhs of the sampled cases
+        n = len(arrows) * len(lhs)
+        picked = range(n) if n <= 64 else rng.sample(range(n), 64)
+        return np.divmod(np.array(picked, dtype=np.int64), max(len(lhs), 1))
 
     natural_ok = True
     # vary the source: f: S0 -> S, compare Phi(alpha after C^q f) with
     # Phi(alpha) after f
-    companions = [AffineSubset.empty(space), AffineSubset.full(space), subset]
-    for s0 in dict.fromkeys(companions):
+    for s0 in dict.fromkeys([AffineSubset.empty(space), AffineSubset.full(space), subset]):
         fs = hom_set_dq(s0, subset, budget)
-        cases = [(f, a) for f in fs for a in lhs]
-        for f, alpha in sample(cases, 64):
-            lifted = cq_arrow(f)
-            left = _phi(s0, vy, lifted.then(alpha))
-            right = f.then(_phi(subset, vy, alpha))
-            if left != right:
-                natural_ok = False
+        fi, ai = sample(fs)
+        fcols = _witness_table([fs[i].witness for i in fi], space.arity)
+        if _carried(x if s0 == subset else cq_object(s0), x, fcols)[0].size < fi.size:
+            raise AssertionFailure("definable map failed to carry the kernel relation")
+        left = _images_inside(s0, vy, _composites(fs, fi, alphas[:, ai], free, free), escape)
+        at = np.searchsorted(subset.points, _point_images(space, s0.points, fcols))
+        natural_ok &= bool((left == phi[ai[:, None], at]).all())
     # vary the target: g: y -> y1, compare Phi(g after alpha) with
     # V^q g after Phi(alpha)
     targets = [y, Relation.identity(y.space)]
@@ -314,15 +341,15 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     for y1 in dict.fromkeys(targets):
         vy1 = vq_object(y1)
         gs = hom_set_rq(y, y1, budget)
-        cases = [(g, a) for g in gs for a in lhs]
-        for g, alpha in sample(cases, 64):
-            left = _phi(subset, vy1, alpha.then(g))
-            right = _phi(subset, vy, alpha).then(_vq_map(vy, vy1, g))
-            if left != right:
-                natural_ok = False
-    return AdjunctionReport(
-        lhs=len(lhs), rhs=len(rhs), bijection_ok=bijection_ok, natural_ok=natural_ok
-    )
+        gi, ai = sample(gs)
+        gcols = _witness_table([gs[i].witness for i in gi], y.space.arity)
+        left = _images_inside(subset, vy1, _composites(lhs, ai, gcols, y.space.free, free), escape)
+        graphs = _images_inside(
+            vy, vy1, gcols, AssertionFailure("induced map left the target point set")
+        )
+        right = np.take_along_axis(graphs, np.searchsorted(vy.points, phi[ai]), axis=1)
+        natural_ok &= bool((left == right).all())
+    return AdjunctionReport(len(lhs), len(rhs), bijection_ok, natural_ok)
 
 
 # --------------------------------------------------------------------------

@@ -327,6 +327,7 @@ def enumerate_homs_free(free, target, budget=DEFAULT_BUDGET):
 def substitute(free_src, p, images, free_dst):
     """Clone composition: the element of free_dst obtained by substituting
     images (elements of free_dst, one per generator of free_src) into p.
+    For an array-like p of element indices it is the array of their images.
 
     This is the action of the homomorphism free_src -> free_dst determined
     by the generator images.
@@ -338,4 +339,5 @@ def substitute(free_src, p, images, free_dst):
             f"{len(images)} images for {free_src.arity} generators"
         )
     images = np.asarray(images, dtype=np.int64)
-    return int(_replay(free_src, free_dst.as_algebra(), images)[p])
+    out = _replay(free_src, free_dst.as_algebra(), images)[np.asarray(p, dtype=np.int64)]
+    return int(out) if out.ndim == 0 else out

@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive and shares no code with the package:
 set-based fixpoints, exhaustive enumeration, no numpy, no canonical orders.
-Tests compare the package's answers against these on small instances.
+Tests compare the package's answers against these on small instances. The
+one exception is adjunction_squares, a reference route that checks the
+package's naturality sweep one square at a time through its single-arrow
+functors and composition.
 
 Run as a script to print the frozen constants used in the test suite.
 """
 
+import random
 from itertools import product
 
 
@@ -498,6 +502,63 @@ def relation_arrows(tables_m, tables_n, k, n, x_pairs, y_pairs, witnesses):
                 raise AssertionError("carried relation gave an ill-defined class map")
         out.setdefault(tuple(class_map[c] for c in sorted(class_map)), w)
     return [(w, class_map) for class_map, w in out.items()]
+
+
+def adjunction_squares(subset, y, budget, seed):
+    """(lhs, rhs, bijection_ok, natural_ok) of verify_adjunction for S and
+    y in one context, one naturality square at a time: the package's hom
+    sets, cq_arrow and then, and the correspondence Phi evaluated here
+    point by point. The rng draws the cases verify_adjunction samples."""
+    from affinekit.adjunction import (
+        DArrowClass, cq_arrow, cq_object, hom_set_dq, hom_set_rq, vq_object,
+    )
+    from affinekit.core import Partition
+    from affinekit.errors import AssertionFailure, BijectionFailure
+    from affinekit.galois import AffineSubset, Relation
+
+    def induced(src, dst, witness, error):
+        rows, k = src.space.ev.tolist(), src.space.ground.size
+        images = tuple(encode([rows[w][a] for w in witness], k) for a in src.points)
+        if not set(images) <= set(dst.points):
+            raise error
+        return DArrowClass(src, dst, images, witness)
+
+    def phi(src, vy, arrow):
+        return induced(src, vy, arrow.witness,
+                       BijectionFailure("correspondence image left V(y)"))
+
+    space = subset.space
+    x, vy = cq_object(subset), vq_object(y)
+    lhs = hom_set_rq(x, y, budget)
+    rhs = hom_set_dq(subset, vy, budget)
+    mapped = [phi(subset, vy, a) for a in lhs]
+    bijection_ok = len(rhs) == len(set(mapped)) == len(mapped) and set(mapped) == set(rhs)
+
+    rng = random.Random(seed)
+
+    def sample(items):
+        return items if len(items) <= 64 else rng.sample(items, 64)
+
+    natural_ok = True
+    companions = [AffineSubset.empty(space), AffineSubset.full(space), subset]
+    for s0 in dict.fromkeys(companions):
+        fs = hom_set_dq(s0, subset, budget)
+        for f, alpha in sample([(f, a) for f in fs for a in lhs]):
+            left = phi(s0, vy, cq_arrow(f).then(alpha))
+            right = f.then(phi(subset, vy, alpha))
+            natural_ok &= left == right
+    targets = [y, Relation.identity(y.space)]
+    if y.space.free.size:
+        targets.append(Relation.from_partition(y.space, Partition.total(y.space.free.size)))
+    for y1 in dict.fromkeys(targets):
+        vy1 = vq_object(y1)
+        gs = hom_set_rq(y, y1, budget)
+        for g, alpha in sample([(g, a) for g in gs for a in lhs]):
+            left = phi(subset, vy1, alpha.then(g))
+            stray = AssertionFailure("induced map left the target point set")
+            right = phi(subset, vy, alpha).then(induced(vy, vy1, g.witness, stray))
+            natural_ok &= left == right
+    return len(lhs), len(rhs), bijection_ok, natural_ok
 
 
 # Operation tables for the builtin two-element and cyclic algebras,

@@ -1,10 +1,13 @@
 import random
+from dataclasses import astuple
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from affinekit import adjunction
 from affinekit.adjunction import (
     RArrowClass,
     cq_arrow,
@@ -20,8 +23,14 @@ from affinekit.adjunction import (
     vq_arrow,
     vq_object,
 )
-from affinekit.core import Partition, all_congruences, quotient_algebra
-from affinekit.errors import BudgetExceeded, NotStable, ValidationError
+from affinekit.core import DEFAULT_BUDGET, Partition, all_congruences, quotient_algebra
+from affinekit.errors import (
+    AffineError,
+    BijectionFailure,
+    BudgetExceeded,
+    NotStable,
+    ValidationError,
+)
 from affinekit.free import enumerate_homs_free, ground_space
 from affinekit.galois import AffineSubset, Relation, c_operator
 
@@ -402,6 +411,129 @@ def test_adjunction_two_variable():
     rep = verify_adjunction(s, cq_object(AffineSubset.of(sp, [1, 2])))
     assert rep.lhs == rep.rhs
     assert rep.bijection_ok and rep.natural_ok
+
+
+def outcome(check, *args):
+    """A report as a tuple, or the type and message of what was raised."""
+    try:
+        report = check(*args)
+    except AffineError as exc:
+        return type(exc), str(exc)
+    return report if isinstance(report, tuple) else astuple(report)
+
+
+def assert_matches_squares_oracle(subset, y, budget=DEFAULT_BUDGET):
+    for seed in (1, 2026):
+        want = outcome(oracles.adjunction_squares, subset, y, budget, seed)
+        assert outcome(verify_adjunction, subset, y, budget, seed) == want
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(arrow_cases(), st.randoms(use_true_random=False), st.sampled_from([DEFAULT_BUDGET, 16]))
+def test_naturality_sweep_matches_per_square_oracle_on_random_algebras(case, rng, budget):
+    g, ground, n, m = case
+    sn, sm = ground_space(g, ground, n), ground_space(g, ground, m)
+    ok_n = [a for a in range(sn.npoints) if sn.point_ok[a]]
+    subset = AffineSubset.of(sn, random_points(rng, ok_n))
+    assert_matches_squares_oracle(subset, random_relation(rng, sm), budget)
+
+
+def _full_bool2_square():
+    # 256 maps full -> full times 16 arrows alpha: 4096 source cases, 64 sampled
+    sp2, sp1 = ground_space(bool2(), bool2(), 2), ground_space(bool2(), bool2(), 1)
+    return AffineSubset.full(sp2), Relation.identity(sp1)
+
+
+def _one_space(gen, n, m, points, rel):
+    sn, sm = ground_space(gen(), gen(), n), ground_space(gen(), gen(), m)
+    return AffineSubset.of(sn, points), rel(sm)
+
+
+def _total(space):
+    return Relation.from_partition(space, Partition.total(space.free.size))
+
+
+SQUARE_CASES = {
+    "sampled": _full_bool2_square,
+    "empty S": lambda: _one_space(
+        bool2, 1, 1, [], lambda sp: cq_object(AffineSubset.of(sp, [0]))),
+    "empty lhs": lambda: _one_space(bool2, 1, 1, [0, 1], _total),
+    "m = 0": lambda: _one_space(bool2, 1, 0, [1], Relation.identity),
+    "empty F(n)": lambda: _one_space(semilat2, 0, 1, [0], Relation.identity),
+    "empty F(m)": lambda: _one_space(semilat2, 1, 0, [0, 1], Relation.identity),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_CASES))
+def test_naturality_sweep_matches_per_square_oracle_pinned(name):
+    subset, y = SQUARE_CASES[name]()
+    rep = verify_adjunction(subset, y)
+    assert rep.lhs == rep.rhs and rep.bijection_ok and rep.natural_ok
+    if name == "sampled":
+        assert len(hom_set_dq(subset, subset)) * rep.lhs == 4096
+    if name == "empty lhs":
+        assert rep.lhs == 0
+    assert_matches_squares_oracle(subset, y)
+
+
+@pytest.mark.parametrize("side, corrupt", [("source", 2), ("target", 1)])
+def test_naturality_sweep_sees_a_wrong_composite(monkeypatch, side, corrupt):
+    # each square compares clone composition against graph composition, so
+    # a wrong composite shows on either side alone; the source side composes
+    # in F(2) and the target side in F(1), and only one of them is corrupted
+    sp2, sp1 = ground_space(bool2(), bool2(), 2), ground_space(bool2(), bool2(), 1)
+    s, y = AffineSubset.of(sp2, [1, 2]), Relation.identity(sp1)
+    assert verify_adjunction(s, y).natural_ok
+    real = adjunction.substitute
+
+    def wrong(src, p, images, dst):
+        out = real(src, p, images, dst)
+        return (out + 1) % dst.size if src.arity == corrupt else out
+
+    monkeypatch.setattr(adjunction, "substitute", wrong)
+    rep = verify_adjunction(s, y)  # V(y) is every point: no image can leave it
+    assert rep.bijection_ok and not rep.natural_ok
+
+
+@pytest.mark.parametrize("side, corrupt", [("source", 2), ("target", 1)])
+def test_wrong_composite_leaving_v_of_y_is_a_bijection_failure(monkeypatch, side, corrupt):
+    sp2, sp1 = ground_space(bool2(), bool2(), 2), ground_space(bool2(), bool2(), 1)
+    s, y = AffineSubset.of(sp2, [1, 2]), cq_object(AffineSubset.of(sp1, [1]))
+    assert verify_adjunction(s, y).natural_ok
+    real = adjunction.substitute
+
+    def wrong(src, p, images, dst):
+        out = real(src, p, images, dst)
+        return (out + 1) % dst.size if src.arity == corrupt else out
+
+    monkeypatch.setattr(adjunction, "substitute", wrong)
+    with pytest.raises(BijectionFailure, match=r"correspondence image left V\(y\)"):
+        verify_adjunction(s, y)
+
+
+def test_naturality_sweep_composes_the_oracles_sampled_cases(monkeypatch):
+    # which (arrow, alpha) pairs get composed, as (arity of the inner free
+    # algebra, outer witness, inner generator images): the oracle composes
+    # each of its cases through substitute too
+    subset, y = _full_bool2_square()
+    real = adjunction.substitute
+
+    def composed(check, seed):
+        seen = set()
+
+        def spy(src, p, images, dst):
+            columns = np.asarray(p).reshape(len(p), -1).T.tolist()
+            seen.update((src.arity, tuple(images), tuple(c)) for c in columns)
+            return real(src, p, images, dst)
+
+        monkeypatch.setattr(adjunction, "substitute", spy)
+        check(subset, y, DEFAULT_BUDGET, seed)
+        return seen
+
+    for seed in (1, 2026):
+        got = composed(verify_adjunction, seed)
+        assert got == composed(oracles.adjunction_squares, seed)
+        assert 64 < len(got) < 4096
 
 
 # --- representability -------------------------------------------------------

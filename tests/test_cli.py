@@ -151,6 +151,49 @@ def test_adjoint_golden(capsys):
     }
 
 
+# sha256 of stdout, exit code and stderr of adjoint and represent runs,
+# recorded from the per-square naturality loop these commands used before
+ADJOINT_REPRESENT_SHA256 = [
+    (["adjoint", "--builtin", "bool2", "--arity", "2", "--target-arity", "1",
+      "--points", "0,0;0,1;1,0;1,1", "--json"], 0,
+     "d378cc3301aab8e50e941515904c1fa6e63e3621ecd4751ff5d0cd10531b56dd", ""),
+    (["adjoint", "--builtin", "bool2", "--arity", "2", "--target-arity", "1",
+      "--points", "0,1;1,1", "--pairs", "0,1", "--json"], 0,
+     "56c373c930582f9116cbf9cd460ef28145190e3bfc5c5b795074f5cc75c06c29", ""),
+    (["adjoint", "--builtin", "z4", "--ground", "z2", "--arity", "1", "--points", "1",
+      "--json"], 0,
+     "ee7b97d0c05c89ab381921acbb2254dc6aea22f7e726fe5bf024f9d487b901dc", ""),
+    (["adjoint", "--builtin", "z4", "--ground", "z2-in-z4", "--arity", "2",
+      "--target-arity", "1", "--points", "0,0;1,1", "--json"], 0,
+     "ee7b97d0c05c89ab381921acbb2254dc6aea22f7e726fe5bf024f9d487b901dc", ""),
+    (["adjoint", "--builtin", "semilat2", "--arity", "1", "--target-arity", "0",
+      "--points", "1", "--json"], 0,
+     "40ee2af20a309660d3008cd2bc9ba13893401da1e06bcff5ce4f976da2e49f10", ""),
+    (["represent", "--builtin", "bool2", "--arity", "1", "--pairs", "0,3",
+      "--assume-stable", "--json"], 0,
+     "614b6098b8852665b87bfe02638748b387ac7e6b5ad2dc90e9958e52df890d33", ""),
+    (["represent", "--builtin", "z4", "--ground", "z2", "--pairs", "3,1", "--json"], 0,
+     "6a83a7545949aa2795526f8cf38407c8ceaac233db2206cc422d5a168a747052", ""),
+    (["represent", "--builtin", "z4", "--arity", "2", "--json"], 0,
+     "1709d6642942aa6a5f94f08bb0191561ea958fb507af6a815b193515d7010c6f", ""),
+    # the naturality companion hom(A^3, S) needs 7^3 witness tuples
+    (["adjoint", "--builtin", "semilat2", "--arity", "3", "--target-arity", "1",
+      "--points", "1,1,1", "--budget", "100", "--json"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: 343 witness tuples exceed budget 100\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha256, err", ADJOINT_REPRESENT_SHA256,
+    ids=[f"{case[0][0]}{i}" for i, case in enumerate(ADJOINT_REPRESENT_SHA256)],
+)
+def test_adjoint_and_represent_match_frozen_digest(capsys, argv, code, sha256, err):
+    got_code, out, got_err = run(capsys, argv)
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_represent_golden(capsys):
     code, out, _ = run(capsys, ["represent", "--builtin", "z4", "--ground", "z2", "--json"])
     assert code == 0

@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from affinekit.core import (
@@ -225,6 +228,23 @@ def test_substitute_matches_graph_method():
         w = h.mapping[fb1.var(0)]
         for p in range(fb1.size):
             assert substitute(fb1, p, (w,), fb2) == h.mapping[p]
+
+
+@pytest.mark.parametrize("gen, ns, nd", [(bool2, 1, 2), (bool2, 2, 1), (z4, 2, 1),
+                                          (semilat2, 2, 2), (bool2, 0, 1)])
+def test_substitute_array_matches_scalar_calls(gen, ns, nd):
+    g = gen()
+    src, dst = free_algebra(g, ns), free_algebra(g, nd)
+    every = np.arange(src.size)
+    shapes = [every, every[::-1].reshape(1, -1), np.array([], dtype=np.int64),
+              np.empty((ns, 0), dtype=np.int64), tuple(every.tolist())]
+    for images in product(range(dst.size), repeat=ns):
+        scalar = [substitute(src, p, images, dst) for p in range(src.size)]
+        assert all(type(v) is int for v in scalar)
+        for ps in shapes:
+            got = substitute(src, ps, images, dst)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(ps)
+            assert got.ravel().tolist() == [scalar[p] for p in np.ravel(ps)]
 
 
 def test_substitute_basics():
