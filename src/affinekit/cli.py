@@ -22,6 +22,7 @@ from .core import (
     FiniteAlgebra,
     Partition,
     Var,
+    _digits,
     decode_point,
     encode_point,
     evaluate_term,
@@ -275,7 +276,9 @@ def _blocks_payload(space, part):
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, text_lines)
+# subcommand handlers: each returns (payload, text lines). Where the text
+# costs real work, the lines come from a generator, so --json never builds
+# them.
 
 
 def _cmd_builtins(args):
@@ -387,19 +390,19 @@ def _cmd_null(args):
 def _cmd_zariski(args):
     space = _space(args)
     rep = zariski_report(space, args.budget)
-    decoded = [
-        [list(decode_point(a, space.ground.size, space.arity)) for a in s]
-        for s in rep.closed_sets
-    ]
+    points = _digits((space.ground.size,) * space.arity).T.tolist()
+    decoded = [[points[a] for a in s] for s in rep.closed_sets]
     payload = {"count": len(rep.closed_sets), "closed_sets": decoded,
                "is_topology": rep.is_topology, "union_closed": rep.union_closed,
                "matches_discrete": rep.matches_discrete}
-    lines = [
-        f"{len(rep.closed_sets)} closed sets; topology: {rep.is_topology}; "
-        f"union-closed: {rep.union_closed}; discrete: {rep.matches_discrete}"
-    ]
-    lines += ["  {" + "; ".join(",".join(map(str, p)) for p in s) + "}" for s in decoded]
-    return payload, lines
+
+    def lines():
+        yield (f"{len(rep.closed_sets)} closed sets; topology: {rep.is_topology}; "
+               f"union-closed: {rep.union_closed}; discrete: {rep.matches_discrete}")
+        for s in decoded:
+            yield "  {" + "; ".join(",".join(map(str, p)) for p in s) + "}"
+
+    return payload, lines()
 
 
 def _cmd_adjoint(args):
@@ -474,15 +477,17 @@ def _cmd_classify(args):
             "radical_blocks": [list(b) for b in e.radical.blocks()],
         })
     payload = {"total": rep.total, "fixed_count": rep.fixed_count, "entries": entries}
-    lines = [f"{rep.fixed_count} of {rep.total} congruences are point-set-fixed"]
-    for e in entries:
-        tag = "fixed  " if e["fixed"] else "widens "
-        desc = " | ".join(",".join(map(str, b)) for b in e["blocks"])
-        lines.append(f"  {tag}{desc}")
-        if not e["fixed"]:
-            rdesc = " | ".join(",".join(map(str, b)) for b in e["radical_blocks"])
-            lines.append(f"         radical: {rdesc}")
-    return payload, lines
+
+    def lines():
+        yield f"{rep.fixed_count} of {rep.total} congruences are point-set-fixed"
+        for e in entries:
+            tag = "fixed  " if e["fixed"] else "widens "
+            yield "  " + tag + " | ".join(",".join(map(str, b)) for b in e["blocks"])
+            if not e["fixed"]:
+                rdesc = " | ".join(",".join(map(str, b)) for b in e["radical_blocks"])
+                yield f"         radical: {rdesc}"
+
+    return payload, lines()
 
 
 # --------------------------------------------------------------------------

@@ -552,7 +552,10 @@ def _unary_translations(alg):
     each equal to s o t for maps s, t still kept, neither one itself, is
     dropped. Candidate factors come from fingerprints, fp(f) = sum of w[x]
     f(x) and fp(s o t) = sum of s(y) pre_t(y), pre_t(y) the weight of t's
-    preimage of y, and are checked in full."""
+    preimage of y, and are checked in full. The fingerprints are float64
+    products, so they run through BLAS; they are exact while k**3 * 2**20 <
+    2**53, and above that a rounding miss only keeps a map that could have
+    been dropped."""
     k = alg.size
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
     rows = np.unique(np.concatenate([ident[None], *(
@@ -562,12 +565,12 @@ def _unary_translations(alg):
     rows = rows[(rows != ident).any(axis=1)]
     m = len(rows)
     w = np.arange(1, k + 1) ** 2 * 40503 % 1048573
-    pre = np.array([np.bincount(row, w, k) for row in rows], dtype=np.int64).reshape(m, k)
-    fp = pre @ np.arange(k)
+    pre = np.array([np.bincount(row, w, k) for row in rows]).reshape(m, k)
+    fp = pre @ np.arange(k, dtype=np.float64)
     order = np.argsort(fp)
     hits = [np.empty(0, dtype=np.int64)]  # (i*m + s)*m + t where fp(s o t) = fp(i)
     for lo in range(0, m, 64):
-        comp = rows[lo:lo + 64] @ pre.T
+        comp = rows[lo:lo + 64].astype(np.float64) @ pre.T
         at = order[np.searchsorted(fp[order], comp) % m]
         s, t = np.nonzero(fp[at] == comp)
         s, i = s + lo, at[s, t]
@@ -595,20 +598,18 @@ def _closure(images, x, y, rows, known=None):
     the new one, so a row ends as the equivalence closure of pairs whose
     images it holds: a congruence.
 
-    known = (reps, of_pair) gives the distinct principal congruences found
-    so far as least-member rows, and at a*k + b the row of Cg(a, b) or -1.
-    Each row then holds one pair p, and Cg(p) is the equivalence closure of
-    p and every Cg(t(p)): the coarsest known Cg(t(p)) is joined whole, and
-    the image pairs it holds are not pushed. A row is done when it has as
-    many blocks as the finest known congruence holding p."""
+    known = (reps, blocks, of_pair, target) gives the distinct principal
+    congruences found so far as least-member rows, their block counts, at
+    a*k + b the row of Cg(a, b) or -1, and for each row the block count of
+    the finest known congruence holding its pair (0 if none). Each row then
+    holds one pair p, and Cg(p) is the equivalence closure of p and every
+    Cg(t(p)): the coarsest known Cg(t(p)) is joined whole, and the image
+    pairs it holds are not pushed. A row is done when it has target blocks."""
     k = len(images)
-    reps, of_pair = known or (np.empty((0, k), dtype=np.int32), None)
+    reps, blocks, of_pair, target = known or (np.empty((0, k), dtype=np.int32),) * 4
     ident = np.arange(rows * k, dtype=np.int32)
     rep = _settle(ident.copy(), x, y)
     if len(reps):
-        blocks = (reps == np.arange(k)).sum(axis=1, dtype=np.int32)
-        holds = reps[:, x % k] == reps[:, y % k]
-        target = np.where(holds, blocks[:, None], 0).max(axis=0)
         rank = blocks * len(reps) + np.arange(len(reps))
     while len(x):
         off = (x - x % k)[:, None]
@@ -638,44 +639,90 @@ def _closure(images, x, y, rows, known=None):
     return rep.reshape(rows, k) - ident[::k, None]
 
 
-def _join_irreducibles(reps):
-    """The rows of reps (distinct congruences) that are not the join of
-    the rows strictly below them."""
+def _principals(alg, budget):
+    """The distinct principal congruences Cg(a, b) of alg, a < b, as rows
+    of least-member arrays in order of discovery; a generating pair (a, b)
+    of each row; and of_pair, which holds the row of Cg(a, b) at a*k + b.
+
+    The pairs of one b, for all a < b, are settled together. For every
+    translation t and every congruence θ holding (a, b), Cg(t(a), t(b)) is
+    within Cg(a, b) and Cg(a, b) within θ. So round 0 settles a pair with
+    no closure when the coarsest known Cg(t(a), t(b)) has as many blocks
+    as the finest known θ holding (a, b): Cg(a, b) is that principal. The
+    other pairs go to one _closure call with a row each, which takes the
+    same finest block counts as its targets. BudgetExceeded when the
+    principals outgrow budget."""
+    k = alg.size
+    images = alg._translations
+    reps, index = np.empty((0, k), dtype=np.int32), {}
+    blocks = np.empty(0, dtype=np.int64)
+    pairs = np.empty((0, 2), dtype=np.int64)
+    of_pair = np.full(k * k, -1, dtype=np.int32)
+    for b in range(1, k):
+        a = np.arange(b)
+        holds = reps[:, :b] == reps[:, b, None]
+        target = np.where(holds, blocks[:, None], 0).max(axis=0, initial=0)
+        # rank orders the known rows by blocks, then index; the last entry
+        # stands for -1, which of_pair holds on the diagonal, at the pairs
+        # of this b and above
+        rank = np.append(blocks, k + 1) * (len(reps) + 1) + np.arange(len(reps) + 1)
+        lo, hi = np.minimum(images[:b], images[b]), np.maximum(images[:b], images[b])
+        coarse, row = np.divmod(rank[of_pair[lo * k + hi]].min(axis=1, initial=rank[-1]),
+                                len(reps) + 1)
+        settled = coarse == target
+        of_pair[a[settled] * k + b] = row[settled]
+        rest = a[~settled]
+        if not len(rest):
+            continue
+        off = np.arange(len(rest)) * k
+        cg = _closure(images, off + rest, off + b, len(rest),
+                      (reps, blocks, of_pair, target[rest]))
+        of_pair[rest * k + b] = [index.setdefault(rep.tobytes(), len(index)) for rep in cg]
+        if len(index) > budget:
+            raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
+        rows, first = np.unique(of_pair[rest * k + b], return_index=True)
+        new = first[rows >= len(reps)]
+        reps = np.vstack([reps, cg[new]])
+        blocks = np.append(blocks, (cg[new] == np.arange(k)).sum(axis=1))
+        pairs = np.vstack([pairs, np.stack([rest[new], np.full(len(new), b)], axis=1)])
+    return reps, pairs, of_pair
+
+
+def _join_irreducibles(reps, pairs):
+    """The indices, ascending, of the rows of reps (distinct principal
+    congruences, row j generated by pairs[j]) that are not the join of the
+    rows strictly below them. Row j lies within row i when row i holds
+    pairs[j]. The rows are taken from the finest up, and a row is the join
+    of the rows strictly below it exactly when it is the join of the
+    join-irreducible ones among them, so only those are joined."""
     ident = np.arange(reps.shape[1])
-    out = []
-    for rep in reps:
-        below = reps[(rep[reps] == rep).all(axis=1) & (reps != rep).any(axis=1)]
+    found = np.empty(0, dtype=np.int64)
+    for i in np.argsort(-(reps == ident).sum(axis=1), kind="stable"):
+        a, b = pairs[found].T
+        below = reps[found[reps[i, a] == reps[i, b]]]
         join = _settle(ident, np.arange(below.size) % len(ident), below.ravel())
-        if not np.array_equal(join, rep):
-            out.append(rep)
-    return out
+        if not np.array_equal(join, reps[i]):
+            found = np.append(found, i)
+    return np.sort(found)
 
 
 def all_congruences(alg, budget=DEFAULT_BUDGET):
     """Every congruence of alg, sorted by labels.
 
-    The principal congruences Cg(a, b) of one b, for all a < b, come from
-    one closure call with a row per pair (k - 1 calls in all), which joins
-    in known principal congruences of earlier b whole. Every congruence is
-    a join of join-irreducible ones, and those are principal, so the
-    lattice is _close of the identity under join with the principals that
-    are not the join of the principals strictly below them: a lattice of L
-    congruences from J join-irreducibles costs fewer than J * L joins.
-    BudgetExceeded when the principals or the lattice outgrow budget."""
+    The principal congruences come from _principals: a known principal
+    settles most pairs (a, b) outright, and the rest of one b go to one
+    closure call with a row per pair. Every congruence is a join of
+    join-irreducible ones, and those are principal, so the lattice is
+    _close of the identity under join with the principals that are not the
+    join of the principals strictly below them, found from one generating
+    pair per principal: a lattice of L congruences from J join-irreducibles
+    costs fewer than J * L joins. BudgetExceeded when the principals or the
+    lattice outgrow budget."""
     k = alg.size
     if k == 0:
         return (Partition(0, ()),)
-    reps, index = np.empty((0, k), dtype=np.int32), {}
-    of_pair = np.full(k * k, -1, dtype=np.int32)
-    for b in range(1, k):
-        a = np.arange(b)
-        cg = _closure(alg._translations, a * k + a, a * k + b, b, (reps, of_pair))
-        of_pair[a * k + b] = [index.setdefault(rep.tobytes(), len(index)) for rep in cg]
-        if len(index) > budget:
-            raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
-        rows, first = np.unique(of_pair[a * k + b], return_index=True)
-        reps = np.vstack([reps, cg[first[rows >= len(reps)]]])
-    base = [_partition(rep) for rep in _join_irreducibles(reps)]
+    reps, pairs, _ = _principals(alg, budget)
+    base = [_partition(reps[i]) for i in _join_irreducibles(reps, pairs)]
     lattice = _close(Partition.identity(k), base, Partition.join, budget,
                      "congruence lattice exceeds")
     return tuple(sorted(lattice, key=lambda p: p.labels))

@@ -3,9 +3,11 @@
 Everything here is deliberately naive and shares no code with the package:
 set-based fixpoints, exhaustive enumeration, no numpy, no canonical orders.
 Tests compare the package's answers against these on small instances. The
-one exception is adjunction_squares, a reference route that checks the
+exceptions are adjunction_squares, a reference route that checks the
 package's naturality sweep one square at a time through its single-arrow
-functors and composition.
+functors and composition, and join_irreducibles, the all-rows test that
+the package ran before it kept a generating pair for each principal
+congruence.
 
 Run as a script to print the frozen constants used in the test suite.
 """
@@ -464,6 +466,25 @@ def closure_labels(size, pairs):
     for a, b in pairs:
         _merge(labels, a, b)
     return _normalize(labels)
+
+
+def join_irreducibles(reps):
+    """The rows of reps (distinct congruences as least-member arrays) that
+    are not the join of the rows strictly below them. Row j lies below row
+    i when row i puts every element in one block with its row-j
+    representative: a test over every pair of rows and every element."""
+    import numpy as np
+
+    from affinekit.core import _settle
+
+    ident = np.arange(reps.shape[1])
+    out = []
+    for rep in reps:
+        below = reps[(rep[reps] == rep).all(axis=1) & (reps != rep).any(axis=1)]
+        join = _settle(ident, np.arange(below.size) % len(ident), below.ravel())
+        if not np.array_equal(join, rep):
+            out.append(rep)
+    return out
 
 
 def point_arrows(ev_rows, k, src_points, dst_points, witnesses):

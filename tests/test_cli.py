@@ -138,6 +138,41 @@ def test_zariski_json_matches_frozen_digest(capsys, name, n):
     assert hashlib.sha256(out.encode()).hexdigest() == ZARISKI_JSON_SHA256[name, n]
 
 
+# sha256 of the --json stdout of the benchmark's lattice jobs that run
+# all_congruences, recorded from the principal stage that closed every pair
+LATTICE_JSON_SHA256 = {
+    "stone --arity 2": "cf8e0638c0df212052db132c21aa174524be516d3345680e5cade8b68371a6b7",
+    "stone --arity 3": "bbad79610788ec5fa786ceb12ceb1a57240dcf4e9692a43f56dfdab90de2d325",
+    "classify --builtin distlat2 --arity 3":
+        "da78c49dfa1f113cad28c8ceaeb6c90b1117b0bf059d567bfb62739d9aff6f58",
+    "classify --builtin z4 --ground z2-in-z4 --arity 3":
+        "ef79f688d260fe3292f8d494b17655b2bc381357f450c97cd38fb1c2c7a72e23",
+}
+
+# sha256 of text stdout, recorded from the handlers that built their lines
+# for --json runs too and decoded one point at a time
+TEXT_SHA256 = {
+    "zariski --builtin semilat2 --arity 4":
+        "0926223b13f2305516a14c93a7aa3a8407d4e6db588cb4cb64b673bd47b62668",
+    "classify --builtin z4 --ground z2-in-z4 --arity 2":
+        "a2e975e836eb09560abcac1f9b45cd8f30e82a64946e5684a2ed046af212f845",
+}
+
+
+@pytest.mark.parametrize("job", sorted(LATTICE_JSON_SHA256))
+def test_lattice_json_matches_frozen_digest(capsys, job):
+    code, out, _ = run(capsys, job.split() + ["--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_JSON_SHA256[job]
+
+
+@pytest.mark.parametrize("job", sorted(TEXT_SHA256))
+def test_text_output_matches_frozen_digest(capsys, job):
+    code, out, _ = run(capsys, job.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[job]
+
+
 def test_adjoint_golden(capsys):
     code, out, _ = run(capsys, ["adjoint", "--builtin", "bool2", "--points", "1", "--json"])
     assert code == 0

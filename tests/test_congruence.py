@@ -1,7 +1,8 @@
 """The congruence engine: one worklist closure, over a generating set of
 the translations, serves generate_congruence (one row) and the principal
-congruences of all_congruences (one row per pair a < b, one call per b),
-whose lattice is the join closure of the join-irreducible principals.
+congruences of all_congruences (one row per pair a < b that no known
+principal settles, one call per b), whose lattice is the join closure of
+the join-irreducible principals, found from one generating pair each.
 
 Builtin lattices are pinned to frozen digests (sha256 of the canonical
 JSON of the sorted label tuples) recorded from the earlier routes: the
@@ -22,9 +23,12 @@ from hypothesis import strategies as st
 
 from affinekit import core
 from affinekit.core import (
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     _join_irreducibles,
     _least_members,
+    _partition,
+    _principals,
     _unary_translations,
     all_congruences,
     generate_congruence,
@@ -32,7 +36,7 @@ from affinekit.core import (
 )
 from affinekit.errors import BudgetExceeded
 from affinekit.free import free_algebra
-from affinekit.instances import builtin
+from affinekit.instances import builtin, list_builtins
 
 import oracles
 from test_clone import generators
@@ -84,7 +88,76 @@ def test_join_irreducibles_of_known_lattices():
     for alg, count in [(free("bool2", 2), 4), (builtin("z4"), 2)]:
         cons = [c for c in all_congruences(alg) if c.num_blocks < alg.size]
         reps = np.array([_least_members(c.labels) for c in cons])
-        assert len(_join_irreducibles(reps)) == count
+        assert len(oracles.join_irreducibles(reps)) == count
+
+
+@pytest.mark.parametrize("name", list_builtins())
+def test_join_irreducibles_from_generating_pairs_match_oracle(name):
+    for n in (1, 2, 3):
+        alg = free(name, n)
+        k = alg.size
+        reps, pairs, of_pair = _principals(alg, DEFAULT_BUDGET)
+        assert (of_pair[pairs[:, 0] * k + pairs[:, 1]] == np.arange(len(reps))).all()
+        got = [reps[i].tolist() for i in _join_irreducibles(reps, pairs)]
+        assert got == [rep.tolist() for rep in oracles.join_irreducibles(reps)]
+
+
+# --------------------------------------------------------------------------
+# the principal table: round 0 against the closure
+
+
+def principal_table(alg):
+    """The labels of Cg(a, b) for every pair a < b, from _principals."""
+    k = alg.size
+    reps, _, of_pair = _principals(alg, DEFAULT_BUDGET)
+    return {(a, b): _partition(reps[of_pair[a * k + b]]).labels
+            for b in range(k) for a in range(b)}
+
+
+def closed_pairs(monkeypatch, alg):
+    """The pairs that _principals leaves to _closure, and its table."""
+    got, closure = [], core._closure
+    k = alg.size
+
+    def spy(images, x, y, rows, known):
+        got.extend(zip((x % k).tolist(), (y % k).tolist()))
+        return closure(images, x, y, rows, known)
+
+    monkeypatch.setattr(core, "_closure", spy)
+    return got, principal_table(alg)
+
+
+def test_round_0_settles_translates_of_known_principals(monkeypatch):
+    # in z4, Cg(0, 1) is total and Cg(0, 2) = {0, 2 | 1, 3}. (0, 2) still
+    # needs the closure: the total congruence is the finest known one that
+    # holds it, and its translates by x -> x + c are (0, 2) and (1, 3),
+    # unknown while b = 2. Each later pair is such a translate of (0, 1) or
+    # (0, 2), whose principal has the finest known block count
+    got, table = closed_pairs(monkeypatch, builtin("z4"))
+    assert got == [(0, 1), (0, 2)]
+    assert table[0, 1] == table[1, 2] == table[0, 3] == table[2, 3] == (0, 0, 0, 0)
+    assert table[0, 2] == table[1, 3] == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("name, n, closed", [("bool2", 2, 42), ("distlat2", 2, 13)])
+def test_round_0_leaves_the_rest_to_the_closure(monkeypatch, name, n, closed):
+    alg = free(name, n)
+    got, table = closed_pairs(monkeypatch, alg)
+    assert len(got) == closed < len(table)
+    ops = _ops_dict(alg)
+    for (a, b), labels in table.items():
+        assert labels == oracles.least_congruence(ops, alg.size, [(a, b)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators())
+def test_principal_table_of_random_algebras_matches_oracle(generator):
+    g, n = generator
+    for alg in (g, free_algebra(g, n).as_algebra()):
+        if 0 < alg.size <= 16:
+            ops = _ops_dict(alg)
+            for (a, b), labels in principal_table(alg).items():
+                assert labels == oracles.least_congruence(ops, alg.size, [(a, b)])
 
 
 def test_generate_congruence_on_the_largest_free_algebra():
@@ -137,6 +210,41 @@ def check_generating_set(alg):
     assert kept <= basic and tuple(range(alg.size)) not in kept
     assert (oracles.transformation_monoid(kept, alg.size)
             == oracles.transformation_monoid(basic, alg.size))
+
+
+# (columns kept, sha256 prefix of the int32 image array) of the generating
+# set of F_g(n), recorded from the int64 fingerprint products
+TRANSLATION_DIGESTS = {
+    ("bool2", 1): (6, "b13001460c826203"),
+    ("bool2", 2): (9, "cf81a8bc63ea3107"),
+    ("bool2", 3): (17, "68f7a841e3ec5ae0"),
+    ("distlat2", 1): (4, "74d2a59f7c045696"),
+    ("distlat2", 2): (8, "fa56a01f986829a7"),
+    ("distlat2", 3): (16, "e1a71726014ab7f5"),
+    ("distlat2", 4): (32, "455c7afe2d84165c"),
+    ("semilat2", 1): (0, "e3b0c44298fc1c14"),
+    ("semilat2", 2): (2, "164b80fa899c7e43"),
+    ("semilat2", 3): (3, "27db8559f110cbfc"),
+    ("semilat2", 4): (4, "18fb4bf4cf02d2e0"),
+    ("z2", 1): (1, "7c9fa136d4413fa6"),
+    ("z2", 2): (2, "8013fa6f3b477123"),
+    ("z2", 3): (3, "76e2cbac35acb215"),
+    ("z2-in-z4", 1): (1, "7c9fa136d4413fa6"),
+    ("z2-in-z4", 2): (2, "8013fa6f3b477123"),
+    ("z2-in-z4", 3): (3, "76e2cbac35acb215"),
+    ("z4", 1): (2, "8dc7b6e7bc6ead3d"),
+    ("z4", 2): (4, "12a38c11b4cd8511"),
+    ("z4", 3): (9, "45a5fa502fa6ebde"),
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(TRANSLATION_DIGESTS))
+def test_translations_match_frozen_digest(name, n):
+    images = _unary_translations(free(name, n))
+    assert images.dtype == np.int32 and images.flags.c_contiguous
+    columns, want = TRANSLATION_DIGESTS[name, n]
+    assert images.shape[1] == columns
+    assert hashlib.sha256(images.tobytes()).hexdigest()[:16] == want
 
 
 @pytest.mark.parametrize("name, n", [("bool2", 2), ("z4", 2), ("distlat2", 3), ("semilat2", 4)])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from affinekit.core import (
     Homomorphism,
     Partition,
-    _join_irreducibles,
     _least_members,
     all_congruences,
     decode_point,
@@ -403,7 +402,8 @@ def test_meet_irreducible_masks_match_join_irreducible_congruences():
             cons = all_congruences(gs.free.as_algebra())
             if len(cons) != len(zariski_report(gs).closed_sets):
                 continue
-            joins = _join_irreducibles(np.array([_least_members(c.labels) for c in cons]))
+            joins = oracles.join_irreducibles(
+                np.array([_least_members(c.labels) for c in cons]))
             counts[name, n] = len(_meet_irreducibles(agreement_masks(gs)))
             assert counts[name, n] == len(joins)
     assert counts["bool2", 3] == 8
