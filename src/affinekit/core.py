@@ -33,6 +33,7 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 10 ** 6
+_CHUNK = 1 << 18  # entries per temporary array in the sweeps over many rows
 
 
 def encode_point(point, size):
@@ -70,6 +71,12 @@ def _recode(m, k, r, base):
     """For every code below k**r: its big-endian digits mapped by m, encoded
     in radix base."""
     return _encode(m[_digits((k,) * r)], (base,) * r)
+
+
+def _chunks(items, width):
+    """items in consecutive slices of about _CHUNK entries, width per item."""
+    step = max(1, _CHUNK // max(width, 1))
+    return [items[lo:lo + step] for lo in range(0, len(items), step)]
 
 
 # --------------------------------------------------------------------------
@@ -255,14 +262,25 @@ def _pair_arrays(size, pairs):
 
 
 def _least_members(labels):
-    """The least-member array of normalized labels."""
+    """The least-member array of labels 0..n-1, or the least-member rows of
+    a 2-D array of any labels, after numbering the (row, label) pairs."""
     lab = np.asarray(labels, dtype=np.int64)
-    return np.unique(lab, return_index=True)[1][lab]
+    if lab.ndim == 1:
+        return np.unique(lab, return_index=True)[1][lab]
+    off = np.arange(len(lab))[:, None] * lab.shape[1]
+    pairs = np.unique(off * (lab.max(initial=0) + 1) + lab, return_inverse=True)[1]
+    return _least_members(pairs.ravel()).reshape(lab.shape) - off
+
+
+def _labels(rep):
+    """Normalized labels of least-member rows: x's counts the least members below x's."""
+    return np.take_along_axis(np.cumsum(rep == np.arange(rep.shape[-1]), axis=-1) - 1,
+                              rep, axis=-1)
 
 
 def _partition(rep):
     """The Partition of a least-member array."""
-    return Partition(len(rep), tuple(np.unique(rep, return_inverse=True)[1].tolist()))
+    return Partition(len(rep), tuple(_labels(rep).tolist()))
 
 
 def _settle(rep, a, b):
@@ -354,22 +372,11 @@ class Partition:
         return Partition.from_labels(list(zip(self.labels, other.labels)))
 
     def join(self, other):
+        """One _settle of self's least members with (x, other's least member of x)."""
         if other.size != self.size:
             raise ShapeMismatch("partitions of different sets")
-        # union-find over the blocks of self: link the blocks that meet one
-        # block of other
-        parent = list(range(self.num_blocks))
-
-        def root(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        anchor = {}
-        for a, b in zip(self.labels, other.labels):
-            ra, rb = root(a), root(anchor.setdefault(b, a))
-            parent[max(ra, rb)] = min(ra, rb)
-        return Partition.from_labels([root(a) for a in self.labels])
+        return _partition(_settle(_least_members(self.labels), np.arange(self.size),
+                                  _least_members(other.labels)))
 
     def is_congruence_of(self, alg):
         """Compatible with every operation of alg?"""
@@ -706,23 +713,51 @@ def _join_irreducibles(reps, pairs):
     return np.sort(found)
 
 
+def _join_rows(gens, budget):
+    """The joins of every subset of gens (least-member rows), as least-member
+    rows in the least dtype that holds k. As in _close, for each g the rows
+    found so far that split a pair (j, g[j]) are joined with g, a chunk at a
+    time in one flat _settle (row i at offset i*k); found keys the rows by
+    their bytes. BudgetExceeded once a chunk takes the rows past budget."""
+    k = gens.shape[1]
+    ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    found = {ident.tobytes(): ident}
+    for g in gens:
+        j = np.flatnonzero(g != ident)
+        for rows in _chunks(np.array(list(found.values())), k):
+            rows = rows[(rows[:, j] != rows[:, g[j]]).any(axis=1)]
+            off = np.arange(0, len(rows) * k, k, dtype=np.int32)[:, None]
+            rep = _settle((rows + off).ravel(), (off + j).ravel(), (off + g[j]).ravel())
+            joined = (rep.reshape(-1, k) - off).astype(ident.dtype)
+            found.update((row.tobytes(), row) for row in joined)
+            if len(found) > budget:
+                raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
+    return np.array(list(found.values()))
+
+
 def all_congruences(alg, budget=DEFAULT_BUDGET):
     """Every congruence of alg, sorted by labels.
 
     The principal congruences come from _principals: a known principal
     settles most pairs (a, b) outright, and the rest of one b go to one
     closure call with a row per pair. Every congruence is a join of
-    join-irreducible ones, and those are principal, so the lattice is
-    _close of the identity under join with the principals that are not the
-    join of the principals strictly below them, found from one generating
-    pair per principal: a lattice of L congruences from J join-irreducibles
-    costs fewer than J * L joins. BudgetExceeded when the principals or the
-    lattice outgrow budget."""
+    join-irreducible ones, and those are principal, so _join_rows builds
+    the lattice from the principals that are not the join of the principals
+    strictly below them, found from one generating pair per principal: L
+    congruences from J join-irreducibles take fewer than J * L row joins.
+    Least-member rows sort as their labels do, so they are sorted as
+    big-endian bytes, then become Partitions a chunk at a time, each chunk
+    freed when done. BudgetExceeded when the principals or the lattice do
+    not fit in budget."""
     k = alg.size
     if k == 0:
         return (Partition(0, ()),)
     reps, pairs, _ = _principals(alg, budget)
-    base = [_partition(reps[i]) for i in _join_irreducibles(reps, pairs)]
-    lattice = _close(Partition.identity(k), base, Partition.join, budget,
-                     "congruence lattice exceeds")
-    return tuple(sorted(lattice, key=lambda p: p.labels))
+    rows = _join_rows(reps[_join_irreducibles(reps, pairs)], budget)
+    order = np.argsort(rows.astype(rows.dtype.newbyteorder(">")).view(
+        np.dtype((np.void, rows[0].nbytes))).ravel())
+    chunks, out = [rows[lo] for lo in _chunks(order, k)][::-1], []
+    del rows
+    while chunks:
+        out.extend(Partition(k, tuple(lab)) for lab in _labels(chunks.pop()).tolist())
+    return tuple(out)

@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
     Partition,
+    _chunks,
     _close,
     _digits,
     _encode,
@@ -158,15 +159,37 @@ def v_operator(rel):
 
 
 def v_of_partition(space, part):
-    """V of the relation 'same block of part', computed in one sweep."""
+    """V of the relation 'same block of part': the one-row case of _v_masks."""
     space.require_ok()
-    m = space.free.size
-    if part.size != m:
+    if part.size != space.free.size:
         raise ShapeMismatch("partition does not fit the free algebra")
-    if m == 0:
-        return AffineSubset.full(space)
-    mask = (space.ev == space.ev[_least_members(part.labels)]).all(axis=0)
-    return AffineSubset.of(space, np.nonzero(mask)[0])
+    mask = _v_masks(space, _least_members(part.labels)[None])[0]
+    return AffineSubset.of(space, np.flatnonzero(mask))
+
+
+def _v_masks(space, rows):
+    """V of many congruences, from least-member rows, as bool point masks:
+    (ev[rows] == ev).all over the elements, a chunk at a time."""
+    ev = space.ev
+    return np.concatenate([(ev[chunk] == ev).all(axis=1) for chunk in _chunks(rows, ev.size)])
+
+
+def _c_rows(space, masks):
+    """C of many point sets, from bool point masks, as least-member rows. An
+    element's key is its values at the mask's points in radix |A|, (mask *
+    |A|**a) @ ev.T; an int64 holds the points of 63 bits, so more points
+    take several key columns, and _least_members gets their tuples' ranks.
+    The rows come in the least dtype that holds the elements."""
+    ev, base, m = space.ev, space.ground.size, space.free.size
+    per = 63 // max((base - 1).bit_length(), 1)
+    out = []
+    for mask in _chunks(masks, ev.size):
+        keys = np.stack([((mask[:, a:a + per] * base ** np.arange(len(ev.T[a:a + per])))
+                          @ ev.T[a:a + per]).ravel()
+                         for a in range(0, space.npoints or 1, per)], axis=1)
+        ids = np.unique(keys, axis=0, return_inverse=True)[1]
+        out.append(_least_members(ids.reshape(len(mask), m)).astype(np.min_scalar_type(m - 1)))
+    return np.concatenate(out)
 
 
 def zariski_closure(subset):

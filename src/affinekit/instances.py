@@ -8,16 +8,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import DEFAULT_BUDGET, FiniteAlgebra, all_congruences
+import numpy as np
+
+from .core import (DEFAULT_BUDGET, FiniteAlgebra, _chunks, _least_members, _partition,
+                   all_congruences)
 from .errors import UnknownSymbol
 from .free import ground_space
-from .galois import (
-    AffineSubset,
-    c_operator,
-    radical_of_partition,
-    v_of_partition,
-    zariski_closure,
-)
+from .galois import _c_rows, _v_masks
 
 
 def _bool2():
@@ -109,58 +106,64 @@ class StoneReport:
     pairs_checked: int
 
 
+def _lattice(space, budget):
+    """The congruences of the free algebra, their least-member rows, their
+    distinct V masks, the index of each one's mask, and the radical C(V) of
+    each mask as a least-member row."""
+    congruences = all_congruences(space.free.as_algebra(), budget)
+    space.require_ok()
+    k = space.free.size
+    rows = np.concatenate([
+        _least_members([p.labels for p in chunk]).astype(np.min_scalar_type(k - 1))
+        for chunk in _chunks(congruences, k)]).reshape(len(congruences), k)
+    masks, inv = np.unique(_v_masks(space, rows), axis=0, return_inverse=True)
+    return congruences, rows, masks, inv, _c_rows(space, masks)
+
+
 def stone_demo(arity, budget=DEFAULT_BUDGET, generator=None, seed=2026):
     """Over the two-element Boolean algebra, congruences of the free
     algebra on `arity` generators correspond exactly to subsets of the
     n-cube: every congruence is point-set-fixed, every subset is closed,
     the two directions invert each other, and the correspondence reverses
     order. The report carries the verdicts; a different generator may be
-    passed to watch the correspondence fail."""
+    passed to watch the correspondence fail. Every check is an array sweep,
+    the subsets going through C then V a chunk at a time, up to the first
+    one that is not closed."""
     alg = generator if generator is not None else _bool2()
     space = ground_space(alg, alg, arity, budget)
-    congruences = all_congruences(space.free.as_algebra(), budget)
-    solutions = {th: v_of_partition(space, th) for th in congruences}
-    closed = {v.points: th for th, v in solutions.items()}
-    all_fixed = all(c_operator(v) == th for th, v in solutions.items())
-    subset_count = 2 ** space.npoints
+    congruences, rows, masks, inv, radicals = _lattice(space, budget)
+    npts, count = space.npoints, len(congruences)
+    subset_count = 2 ** npts
     rng = random.Random(seed)
     if subset_count <= 2 ** 16:
         codes = range(subset_count)
     else:
         codes = sorted({rng.randrange(subset_count) for _ in range(4096)})
     subsets_checked = 0
-    all_subsets_closed = True
-    for code in codes:
-        pts = tuple(a for a in range(space.npoints) if code >> a & 1)
-        s = AffineSubset.of(space, pts)
-        subsets_checked += 1
-        if zariski_closure(s) != s:
-            all_subsets_closed = False
+    for chunk in _chunks(codes, space.ev.size):
+        sub = np.array([[c >> a & 1 for a in range(npts)] for c in chunk], bool)
+        sub = sub.reshape(len(chunk), npts)
+        closed = (_v_masks(space, _c_rows(space, sub)) == sub).all(axis=1)
+        all_subsets_closed = bool(closed.all())
+        subsets_checked += len(chunk) if all_subsets_closed else int(np.argmin(closed)) + 1
+        if not all_subsets_closed:
             break
-    bijective = (
-        len(closed) == len(congruences)
-        and all_subsets_closed
-        and len(congruences) == subset_count
-    )
 
-    pairs = [(a, b) for a in congruences for b in congruences]
-    if len(pairs) > 4096:
-        pairs = rng.sample(pairs, 4096)
+    pairs = np.array(range(count * count) if count * count <= 4096
+                     else rng.sample(range(count * count), 4096), dtype=np.int64)
     order_ok = True
-    vsets = {th: set(v.points) for th, v in solutions.items()}
-    for a, b in pairs:
-        if a.refines(b) != (vsets[b] <= vsets[a]):
-            order_ok = False
-            break
+    for a, b in (np.divmod(chunk, count) for chunk in _chunks(pairs, space.free.size)):
+        refines = (np.take_along_axis(rows[b], rows[a], axis=1) == rows[b]).all(axis=1)
+        order_ok &= bool((refines == (masks[inv[a]] | ~masks[inv[b]]).all(axis=1)).all())
     return StoneReport(
         arity=arity,
-        congruence_count=len(congruences),
-        closed_count=len(closed),
+        congruence_count=count,
+        closed_count=len(masks),
         subset_count=subset_count,
-        all_fixed=all_fixed,
+        all_fixed=bool((radicals[inv] == rows).all()),
         all_subsets_closed=all_subsets_closed,
         subsets_checked=subsets_checked,
-        bijective=bijective,
+        bijective=len(masks) == count and all_subsets_closed and count == subset_count,
         order_reversing_ok=order_ok,
         pairs_checked=len(pairs),
     )
@@ -185,19 +188,18 @@ class ClassifyReport:
 
 
 def classify_fixed(generator, ground, arity, budget=DEFAULT_BUDGET):
-    """Walk every congruence of the free algebra and report whether it is
-    fixed under the closure pass over the given ground."""
+    """Report for every congruence of the free algebra whether it is fixed
+    under the closure pass over the given ground: whether its radical C(V),
+    computed once per distinct V mask by the array sweeps, equals it."""
     space = ground_space(generator, ground, arity, budget)
-    entries = []
-    fixed_count = 0
-    for th in all_congruences(space.free.as_algebra(), budget):
-        rad = radical_of_partition(space, th)
-        fixed = rad == th
-        fixed_count += fixed
-        entries.append(ClassifiedCongruence(partition=th, fixed=fixed, radical=rad))
+    congruences, rows, _, inv, radicals = _lattice(space, budget)
+    fixed = (radicals[inv] == rows).all(axis=1).tolist()
+    rad = [_partition(rep) for rep in radicals]
+    entries = tuple(ClassifiedCongruence(partition=th, fixed=f, radical=rad[i])
+                    for th, f, i in zip(congruences, fixed, inv.tolist()))
     return ClassifyReport(
         arity=arity,
         total=len(entries),
-        fixed_count=fixed_count,
-        entries=tuple(entries),
+        fixed_count=sum(fixed),
+        entries=entries,
     )

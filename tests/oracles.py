@@ -5,9 +5,10 @@ set-based fixpoints, exhaustive enumeration, no numpy, no canonical orders.
 Tests compare the package's answers against these on small instances. The
 exceptions are adjunction_squares, a reference route that checks the
 package's naturality sweep one square at a time through its single-arrow
-functors and composition, and join_irreducibles, the all-rows test that
-the package ran before it kept a generating pair for each principal
-congruence.
+functors and composition; join_irreducibles, the all-rows test that the
+package ran before it kept a generating pair for each principal
+congruence; and stone_report, the per-congruence, per-subset and per-pair
+loop that stone_demo ran before its array sweeps.
 
 Run as a script to print the frozen constants used in the test suite.
 """
@@ -580,6 +581,66 @@ def adjunction_squares(subset, y, budget, seed):
             right = phi(subset, vy, alpha).then(induced(vy, vy1, g.witness, stray))
             natural_ok &= left == right
     return len(lhs), len(rhs), bijection_ok, natural_ok
+
+
+def refines(p, q):
+    """Does the partition with labels p refine the one with labels q?"""
+    first = {}
+    return all(q[first.setdefault(lab, i)] == q[i] for i, lab in enumerate(p))
+
+
+def stone_report(arity, generator, seed=2026):
+    """The StoneReport of stone_demo, one congruence, subset and pair at a
+    time, with brute_v and brute_c for V and C: V per congruence, C of each
+    V, V(C(S)) per subset up to the first that is not closed, and refines
+    per pair. The rng draws the subset codes and the pairs that stone_demo
+    samples. Only the free algebra and its congruences come from the
+    package."""
+    from affinekit.core import all_congruences
+    from affinekit.free import ground_space
+    from affinekit.instances import StoneReport
+
+    space = ground_space(generator, generator, arity)
+    rows, npts = space.ev.tolist(), space.npoints
+    congruences = all_congruences(space.free.as_algebra())
+
+    def v(labels):
+        glued = [(p, q) for p in range(len(labels)) for q in range(p) if labels[p] == labels[q]]
+        return brute_v(rows, npts, glued)
+
+    solutions = {th.labels: v(th.labels) for th in congruences}
+    closed = set(solutions.values())
+    all_fixed = all(brute_c(rows, pts) == th for th, pts in solutions.items())
+    subset_count = 2 ** npts
+    rng = random.Random(seed)
+    if subset_count <= 2 ** 16:
+        codes = range(subset_count)
+    else:
+        codes = sorted({rng.randrange(subset_count) for _ in range(4096)})
+    subsets_checked, all_subsets_closed = 0, True
+    for code in codes:
+        s = tuple(a for a in range(npts) if code >> a & 1)
+        subsets_checked += 1
+        if v(brute_c(rows, s)) != s:
+            all_subsets_closed = False
+            break
+    pairs = [(a.labels, b.labels) for a in congruences for b in congruences]
+    if len(pairs) > 4096:
+        pairs = rng.sample(pairs, 4096)
+    order_ok = all(refines(a, b) == (set(solutions[b]) <= set(solutions[a])) for a, b in pairs)
+    return StoneReport(
+        arity=arity,
+        congruence_count=len(congruences),
+        closed_count=len(closed),
+        subset_count=subset_count,
+        all_fixed=all_fixed,
+        all_subsets_closed=all_subsets_closed,
+        subsets_checked=subsets_checked,
+        bijective=(len(closed) == len(congruences) and all_subsets_closed
+                   and len(congruences) == subset_count),
+        order_reversing_ok=order_ok,
+        pairs_checked=len(pairs),
+    )
 
 
 # Operation tables for the builtin two-element and cyclic algebras,

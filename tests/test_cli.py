@@ -139,7 +139,9 @@ def test_zariski_json_matches_frozen_digest(capsys, name, n):
 
 
 # sha256 of the --json stdout of the benchmark's lattice jobs that run
-# all_congruences, recorded from the principal stage that closed every pair
+# all_congruences, recorded from the principal stage that closed every pair;
+# the last three (64 points of 2 bits at z4@3, semilat2@4, and stone off the
+# theorem) recorded from the per-congruence and per-subset loops
 LATTICE_JSON_SHA256 = {
     "stone --arity 2": "cf8e0638c0df212052db132c21aa174524be516d3345680e5cade8b68371a6b7",
     "stone --arity 3": "bbad79610788ec5fa786ceb12ceb1a57240dcf4e9692a43f56dfdab90de2d325",
@@ -147,6 +149,12 @@ LATTICE_JSON_SHA256 = {
         "da78c49dfa1f113cad28c8ceaeb6c90b1117b0bf059d567bfb62739d9aff6f58",
     "classify --builtin z4 --ground z2-in-z4 --arity 3":
         "ef79f688d260fe3292f8d494b17655b2bc381357f450c97cd38fb1c2c7a72e23",
+    "classify --builtin z4 --arity 3":
+        "7d9062a1c760d546ab06ae58a0f6a140ed6239bb41ae9a41b27a5a5021160eb0",
+    "classify --builtin semilat2 --arity 4":
+        "ccbab19e538fe988c764d2cd568492692d59c1255a2555b2f82226933dfbacbf",
+    "stone --builtin semilat2 --arity 3":
+        "9bb9b7623de90b39f653f20f30ed4cbc06e9179561e7453f56ca24505c6beccb",
 }
 
 # sha256 of text stdout, recorded from the handlers that built their lines

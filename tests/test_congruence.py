@@ -15,6 +15,7 @@ against the brute-force oracles.
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from affinekit.core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     _join_irreducibles,
+    _join_rows,
+    _labels,
     _least_members,
     _partition,
     _principals,
@@ -296,3 +299,41 @@ def test_congruences_of_random_algebras_match_oracles(data):
         ops = _ops_dict(f)
         want = oracles.join_closure(oracles.principal_congruences(ops, f.size), f.size)
         assert {c.labels for c in all_congruences(f)} == want
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_batched_join_of_random_partitions_matches_oracle(data):
+    # any partitions, not only congruences: the join of equivalences is the
+    # same closure; the budget is drawn around the lattice size (it bounds
+    # the rows once a generator is in), and the chunk from one row up
+    k = data.draw(st.integers(1, 7))
+    labels = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+    drawn = data.draw(st.lists(labels, max_size=5))
+    parts = [core.Partition.from_labels(p).labels for p in drawn]
+    want = oracles.join_closure(parts, k)
+    budget = data.draw(st.integers(len(want) - 1, len(want) + 1))
+    gens = _least_members(parts).reshape(len(parts), k)
+    with mock.patch.object(core, "_CHUNK", data.draw(st.sampled_from([1, 2 * k, core._CHUNK]))):
+        if budget < len(want) and parts:
+            message = f"congruence lattice exceeds budget {budget}$"
+            with pytest.raises(BudgetExceeded, match=message):
+                _join_rows(gens, budget)
+            return
+        rows = _join_rows(gens, budget)
+    assert rows.dtype == np.uint8
+    got = [tuple(lab) for lab in _labels(rows).tolist()]
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators())
+def test_batched_join_of_principals_of_random_algebras_matches_oracle(generator):
+    g, n = generator
+    f = free_algebra(g, n).as_algebra()
+    if not f.size:
+        return
+    reps, _, _ = _principals(f, DEFAULT_BUDGET)
+    parts = [tuple(lab) for lab in _labels(reps).tolist()]
+    rows = _join_rows(reps, DEFAULT_BUDGET)
+    assert {tuple(lab) for lab in _labels(rows).tolist()} == oracles.join_closure(parts, f.size)

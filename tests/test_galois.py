@@ -1,14 +1,17 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from affinekit import core
 from affinekit.core import (
     Homomorphism,
     Partition,
     _least_members,
+    _partition,
     all_congruences,
     decode_point,
     is_homomorphism,
@@ -26,7 +29,9 @@ from affinekit.galois import (
     AffineSubset,
     PresentedAlgebra,
     Relation,
+    _c_rows,
     _meet_irreducibles,
+    _v_masks,
     birkhoff_transform,
     c_operator,
     gelfand_evaluation,
@@ -416,3 +421,50 @@ def test_zariski_report_reaches_distlat2_at_arity_4():
     rep = zariski_report(gs)
     assert len(rep.closed_sets) == 65536
     assert rep.is_topology and rep.matches_discrete
+
+
+# --------------------------------------------------------------------------
+# the V and C sweeps over many rows
+
+
+def check_sweeps(gs, masks=()):
+    """V of every congruence against brute_v and v_of_partition, its radical
+    through the sweeps against radical_of_partition, and C of each extra
+    mask against c_operator."""
+    congruences = all_congruences(gs.free.as_algebra())
+    labels = [th.labels for th in congruences]
+    rows = _least_members(labels).reshape(len(congruences), gs.free.size)
+    v = _v_masks(gs, rows)
+    radicals = _c_rows(gs, v)
+    ev = gs.ev.tolist()
+    for th, mask, rad in zip(congruences, v, radicals):
+        pts = tuple(np.flatnonzero(mask).tolist())
+        glued = [(p, q) for p in range(th.size) for q in range(p) if th.labels[p] == th.labels[q]]
+        assert pts == oracles.brute_v(ev, gs.npoints, glued) == v_of_partition(gs, th).points
+        assert _partition(rad) == radical_of_partition(gs, th)
+    masks = np.array(masks, dtype=bool).reshape(len(masks), gs.npoints)
+    for mask, rep in zip(masks, _c_rows(gs, masks) if len(masks) else ()):
+        subset = AffineSubset.of(gs, np.flatnonzero(mask))
+        assert _partition(rep) == c_operator(subset)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ground_cases(), st.data())
+def test_v_and_radical_sweeps_match_scalar_routes_on_random_algebras(case, data):
+    g, n, ground, _ = case
+    gs = ground_space(g, ground, n)
+    assume(gs.ok and gs.free.size <= 12)
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=gs.npoints,
+                                        max_size=gs.npoints), max_size=6))
+    # a chunk of one row, of a few rows, or the default
+    with mock.patch.object(core, "_CHUNK", data.draw(st.sampled_from([1, 64, core._CHUNK]))):
+        check_sweeps(gs, masks)
+
+
+@pytest.mark.parametrize("alg, n", [(z4, 3), (semilat2, 4)])
+def test_v_and_radical_sweeps_match_scalar_routes_pinned(alg, n):
+    # z4@3 self-grounded has 64 points of 2 bits: three key columns
+    gs = ground_space(alg(), alg(), n)
+    rng = random.Random(n)
+    masks = [[rng.random() < 0.5 for _ in range(gs.npoints)] for _ in range(8)]
+    check_sweeps(gs, masks + [[True] * gs.npoints, [False] * gs.npoints])

@@ -1,9 +1,15 @@
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from affinekit.core import Partition
-from affinekit.errors import UnknownSymbol
+from affinekit import core
+from affinekit.core import FiniteAlgebra, Partition
+from affinekit.errors import NotInVariety, UnknownSymbol
+from affinekit.free import free_algebra, ground_space
+from affinekit.galois import radical_of_partition
 from affinekit.instances import (
     builtin,
     classify_fixed,
@@ -12,6 +18,7 @@ from affinekit.instances import (
 )
 
 import oracles
+from test_clone import generators, ground_cases
 
 
 def test_builtin_catalog():
@@ -101,3 +108,60 @@ def test_stone_demo_quick():
     t0 = time.monotonic()
     stone_demo(2)
     assert time.monotonic() - t0 < 10.0
+
+
+# two constants and nothing else: F(n) is the constants and the variables,
+# every partition of it is a congruence, and the first subset that is not
+# closed comes neither first nor last
+CONSTANTS = FiniteAlgebra.make(2, [("0", 0, (0,)), ("1", 0, (1,))])
+
+
+@pytest.mark.parametrize("n, counts, checked", [
+    (1, (5, 4, 4), 4),
+    (2, (15, 11, 16), 7),
+    (3, (52, 38, 256), 7),
+])
+def test_stone_demo_off_theorem_pinned(n, counts, checked):
+    rep = stone_demo(n, generator=CONSTANTS)
+    assert (rep.congruence_count, rep.closed_count, rep.subset_count) == counts
+    assert rep.subsets_checked == checked
+    assert rep.all_subsets_closed == (n == 1)
+    assert not (rep.all_fixed or rep.bijective or rep.order_reversing_ok)
+    assert rep == oracles.stone_report(n, CONSTANTS)
+
+
+def test_stone_demo_matches_the_per_subset_loop_on_sampled_pairs():
+    # 203 congruences: 4096 of the 41209 pairs are sampled
+    rep = stone_demo(4, generator=CONSTANTS, seed=5)
+    assert rep.pairs_checked == 4096
+    assert rep == oracles.stone_report(4, CONSTANTS, seed=5)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(generators(), st.integers(0, 2 ** 32), st.sampled_from([1, 64, core._CHUNK]))
+@example((CONSTANTS, 2), 2026, 1)
+def test_stone_demo_matches_the_per_subset_loop_on_random_algebras(case, seed, chunk):
+    g, n = case
+    assume(free_algebra(g, n).size <= 7)
+    with mock.patch.object(core, "_CHUNK", chunk):
+        rep = stone_demo(n, generator=g, seed=seed)
+    assert rep == oracles.stone_report(n, g, seed)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(ground_cases())
+def test_classify_fixed_matches_radical_of_partition_on_random_algebras(case):
+    g, n, ground, _ = case
+    space = ground_space(g, ground, n)
+    assume(space.free.size <= 10)
+    if not space.ok:
+        with pytest.raises(NotInVariety):
+            classify_fixed(g, ground, n)
+        return
+    rep = classify_fixed(g, ground, n)
+    for e in rep.entries:
+        rad = radical_of_partition(space, e.partition)
+        assert e.radical == rad and e.fixed == (rad == e.partition)
+    assert rep.fixed_count == sum(e.fixed for e in rep.entries)
