@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Partition, _digits, _encode, _least_members
+from .core import DEFAULT_BUDGET, Partition, _digits, _encode, _representatives
 from .errors import (
     AssertionFailure,
     BijectionFailure,
@@ -205,7 +205,7 @@ def _carried(x, y, columns):
     # the table spans every witness column
     xlabels = np.asarray(xbar.labels, dtype=np.min_scalar_type(xbar.num_blocks))
     labels = xlabels[h][:, live]
-    class_maps = labels[np.unique(_least_members(ylabels))]
+    class_maps = labels[_representatives(ylabels)]
     if not (labels == class_maps[ylabels]).all():
         raise AssertionFailure("carried relation gave an ill-defined class map")
     return live, class_maps
@@ -287,7 +287,8 @@ def _composites(firsts, which, seconds, fm, fn):
     """Column c of seconds (in fm) with the witness of firsts[which[c]] (in
     fn) substituted in, by one substitute call per distinct first arrow."""
     out = np.empty(seconds.shape, dtype=np.int64)
-    for i in np.unique(which):
+    # return_index: numpy's unique without index outputs imports numpy.ma
+    for i in np.unique(which, return_index=True)[0]:
         at = which == i
         out[:, at] = substitute(fm, seconds[:, at], firsts[i].witness, fn)
     return out

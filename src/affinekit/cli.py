@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .adjunction import representability_check, verify_adjunction
 from .core import (
     DEFAULT_BUDGET,
@@ -491,6 +493,57 @@ def _cmd_classify(args):
 
 
 # --------------------------------------------------------------------------
+# output
+
+
+# Byte classes of the one-line JSON text: 1 opens, -1 closes, 0 separates
+# items, 2 is anything else.
+_STEP = np.full(128, 2, dtype=np.int8)
+_STEP[[ord("["), ord("{")]] = 1
+_STEP[[ord("]"), ord("}")]] = -1
+_STEP[ord(",")] = 0
+
+
+def _dumps(payload):
+    """json.dumps(payload, indent=2, sort_keys=True), from the C encoder's
+    one-line ASCII text: outside strings, a newline and two spaces per level
+    go after each '[', '{' and ',' and before each ']' and '}', except
+    inside an empty [] or {}. Temporaries go as soon as they are spent, so
+    the peak stays near the size of the output."""
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ": "))
+    text = np.frombuffer(raw.encode("ascii"), dtype=np.uint8)
+    # with escaped backslashes and quotes blanked, quotes delimit strings
+    plain = raw.replace("\\\\", "__").replace('\\"', "__").encode("ascii")
+    quote = np.frombuffer(plain, dtype=np.uint8) == ord('"')
+    del raw, plain
+    step = _STEP[text]
+    step[np.cumsum(quote, dtype=np.uint8) & 1 == 1] = 2  # inside a string
+    del quote
+    at = np.flatnonzero(step < 2)
+    step = step[at]
+    depth = np.cumsum(step, dtype=np.int32)
+    empty = np.flatnonzero((step[:-1] == 1) & (step[1:] == -1) & (np.diff(at) == 1))
+    keep = np.ones(len(at), dtype=bool)
+    keep[empty] = keep[empty + 1] = False
+    cut = (at + (step >= 0))[keep]  # an indent goes in before text[cut]
+    width = 1 + 2 * depth[keep]
+    del at, step, depth, keep
+    size = len(text) + int(width.sum())
+    # dest[j]: where text[j] lands, past every indent cut at or before j
+    dest = np.zeros(len(text), dtype=np.int32 if size < 2**31 else np.int64)
+    dest[cut] = width
+    np.cumsum(dest, out=dest)
+    dest += np.arange(len(text), dtype=dest.dtype)
+    newline = dest[cut] - width
+    del cut, width
+    out = np.full(size, ord(" "), dtype=np.uint8)
+    out[dest] = text
+    del dest
+    out[newline] = ord("\n")
+    return str(out, "ascii")
+
+
+# --------------------------------------------------------------------------
 
 
 def _build_parser():
@@ -564,7 +617,7 @@ def main(argv=None):
         return 1
     if args.json:
         payload = {"command": args.command, "version": VERSION, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in lines:
             print(line)

@@ -272,6 +272,12 @@ def _least_members(labels):
     return _least_members(pairs.ravel()).reshape(lab.shape) - off
 
 
+def _representatives(labels):
+    """The least member of each block of labels, in increasing order."""
+    rep = _least_members(labels)
+    return np.flatnonzero(rep == np.arange(len(rep)))
+
+
 def _labels(rep):
     """Normalized labels of least-member rows: x's counts the least members below x's."""
     return np.take_along_axis(np.cumsum(rep == np.arange(rep.shape[-1]), axis=-1) - 1,
@@ -495,7 +501,7 @@ def quotient_algebra(alg, part):
     if not part.is_congruence_of(alg):
         raise NotACongruence("partition is not compatible with the operations")
     lab = np.asarray(part.labels, dtype=np.int64)
-    reps = np.unique(_least_members(lab))  # least member of each block
+    reps = _representatives(lab)
     tables = tuple(
         tuple(lab[alg.np_table(sym).ravel()[_recode(reps, len(reps), r, alg.size)]].tolist())
         for sym, r in alg.signature.symbols
@@ -565,10 +571,11 @@ def _unary_translations(alg):
     been dropped."""
     k = alg.size
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    # return_index: numpy's unique without index outputs imports numpy.ma
     rows = np.unique(np.concatenate([ident[None], *(
         np.moveaxis(np.array(tab, ident.dtype).reshape((k,) * r), pos, -1).reshape(-1, k)
         for (_, r), tab in zip(alg.signature.symbols, alg.tables) for pos in range(r)
-    )]), axis=0)
+    )]), axis=0, return_index=True)[0]
     rows = rows[(rows != ident).any(axis=1)]
     m = len(rows)
     w = np.arange(1, k + 1) ** 2 * 40503 % 1048573

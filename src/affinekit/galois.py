@@ -23,6 +23,7 @@ from .core import (
     _digits,
     _encode,
     _least_members,
+    _representatives,
     decode_point,
     encode_point,
     is_homomorphism,
@@ -178,8 +179,9 @@ def _c_rows(space, masks):
     """C of many point sets, from bool point masks, as least-member rows. An
     element's key is its values at the mask's points in radix |A|, (mask *
     |A|**a) @ ev.T; an int64 holds the points of 63 bits, so more points
-    take several key columns, and _least_members gets their tuples' ranks.
-    The rows come in the least dtype that holds the elements."""
+    take several key columns. Their tuples are ranked by one lexsort and a
+    neighbour diff, and _least_members gets the ranks. The rows come in the
+    least dtype that holds the elements."""
     ev, base, m = space.ev, space.ground.size, space.free.size
     per = 63 // max((base - 1).bit_length(), 1)
     out = []
@@ -187,7 +189,10 @@ def _c_rows(space, masks):
         keys = np.stack([((mask[:, a:a + per] * base ** np.arange(len(ev.T[a:a + per])))
                           @ ev.T[a:a + per]).ravel()
                          for a in range(0, space.npoints or 1, per)], axis=1)
-        ids = np.unique(keys, axis=0, return_inverse=True)[1]
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[order] = np.cumsum((np.diff(keys, axis=0, prepend=keys[:1]) != 0).any(axis=1))
         out.append(_least_members(ids.reshape(len(mask), m)).astype(np.min_scalar_type(m - 1)))
     return np.concatenate(out)
 
@@ -240,7 +245,7 @@ def gelfand_evaluation(space, point):
 def _gelfand_parts(space, a):
     kernel = point_kernel(space, a)
     quot, proj = quotient_algebra(space.free.as_algebra(), kernel)
-    reps = np.unique(_least_members(kernel.labels))  # least member of each block
+    reps = _representatives(kernel.labels)
     mapping = tuple(space.ev[reps, a].tolist())
     gamma = Homomorphism(quot, space.ground, mapping)
     if len(set(mapping)) != len(mapping) or not is_homomorphism(gamma):
@@ -307,7 +312,7 @@ def birkhoff_transform(presented, budget=DEFAULT_BUDGET):
     labels = np.array(
         [ker.labels for ker in kernels], dtype=np.int64
     ).reshape(len(pts), theta.size)
-    reps = np.unique(_least_members(theta.labels))  # least member of each block
+    reps = _representatives(theta.labels)
     sigma_map = tuple(_encode(labels[:, reps], sizes).tolist())
     sigma = Homomorphism(quot, prod, sigma_map)
     if not is_homomorphism(sigma):
@@ -363,7 +368,7 @@ def nullstellensatz_check(presented):
         if not theta.refines(ker):
             raise AssertionFailure("point kernel fails to contain theta")
     nb = theta.num_blocks
-    reps = np.unique(_least_members(theta.labels)).tolist()
+    reps = _representatives(theta.labels).tolist()
     tuples = set()
     onto = all(
         len({ker.labels[r] for r in reps}) == ker.num_blocks for ker in kernels

@@ -4,14 +4,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import affinekit
-from affinekit.cli import main, parse_term
+from affinekit.cli import _dumps, algebra_from_dict, main, parse_term
 from affinekit.core import App, Var
 from affinekit.errors import ParseError
 
 import oracles
+from test_clone import generators
 
 
 def run(capsys, argv):
@@ -325,6 +329,68 @@ def test_ground_by_file(capsys, tmp_path):
     assert json.loads(via_file) == json.loads(via_name)
 
 
+def algebra_dict(alg):
+    return {
+        "name": alg.name,
+        "size": alg.size,
+        "ops": [{"name": s, "arity": r, "table": list(t)}
+                for (s, r), t in zip(alg.signature.symbols, alg.tables)],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(generators())
+def test_algebra_dict_round_trips(case):
+    alg, _ = case
+    again = algebra_from_dict(json.loads(json.dumps(algebra_dict(alg))))
+    assert again == alg and again.name == alg.name
+
+
+def with_op(data, **fields):
+    """data with fields of its first operation replaced, None deleting one."""
+    op = {k: v for k, v in {**data["ops"][0], **fields}.items() if v is not None}
+    return {**data, "ops": [op, *data["ops"][1:]]}
+
+
+# each breaks an algebra file's data in one place
+MALFORMED = [
+    lambda d: [d],
+    lambda d: d["size"],
+    lambda d: {k: v for k, v in d.items() if k != "size"},
+    lambda d: {**d, "size": 0},
+    lambda d: {**d, "size": -d["size"]},
+    lambda d: {**d, "size": float(d["size"])},
+    lambda d: {**d, "size": str(d["size"])},
+    lambda d: {**d, "size": True},
+    lambda d: {**d, "ops": {}},
+    lambda d: {**d, "ops": [[1]]},
+    lambda d: {**d, "ops": d["ops"] + d["ops"][:1]},  # a symbol twice
+    lambda d: {**d, "name": 5},
+    lambda d: with_op(d, name=""),
+    lambda d: with_op(d, name=7),
+    lambda d: with_op(d, arity=None),
+    lambda d: with_op(d, arity=-1),
+    lambda d: with_op(d, arity=True),
+    lambda d: with_op(d, arity=1.0),
+    lambda d: with_op(d, table=None),
+    lambda d: with_op(d, table="0"),
+    lambda d: with_op(d, table=d["ops"][0]["table"] + [0]),
+    lambda d: with_op(d, table=[d["size"]] * len(d["ops"][0]["table"])),
+    lambda d: with_op(d, table=[float(v) for v in d["ops"][0]["table"]]),
+    lambda d: with_op(d, table=[True] * len(d["ops"][0]["table"])),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generators(), st.sampled_from(MALFORMED))
+def test_malformed_algebra_files_exit_2(tmp_path_factory, case, fault):
+    text = json.dumps(algebra_dict(case[0]))
+    path = tmp_path_factory.mktemp("algebra") / "algebra.json"
+    for bad in (json.dumps(fault(algebra_dict(case[0]))), text[:-1]):
+        path.write_text(bad)
+        assert main(["free", "--algebra", str(path), "--arity", "1"]) == 2
+
+
 # --- exit codes -------------------------------------------------------------
 
 
@@ -397,3 +463,66 @@ def test_cli_import_loads_no_scipy():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x imports numpy.ma with numpy itself")
+def test_lattice_and_adjunction_paths_load_no_numpy_ma():
+    # numpy 2's unique without index outputs imports numpy.ma, 15-16 ms a
+    # process; the classify, stone and adjunction routes never need it
+    src = os.path.dirname(os.path.dirname(affinekit.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        "from affinekit import AffineSubset, Relation, builtin, ground_space\n"
+        "from affinekit.adjunction import verify_adjunction\n"
+        "from affinekit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['classify', '--builtin', 'z4', '--ground', 'z2-in-z4',\n"
+        "                 '--arity', '2', '--json']) == 0\n"
+        "    assert main(['stone', '--arity', '2', '--json']) == 0\n"
+        "z4 = builtin('z4')\n"
+        "space = ground_space(z4, builtin('z2-in-z4'), 1)\n"
+        "y = Relation.identity(ground_space(z4, builtin('z2-in-z4'), 2))\n"
+        "assert verify_adjunction(AffineSubset.of(space, [0, 1]), y).bijection_ok\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+# --- the --json encoder -------------------------------------------------------
+
+CHARS = st.one_of(
+    st.sampled_from(list('"\\[]{},: ') + ["\ud800", "\udfff"]),  # lone surrogates too
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x80),
+    st.characters(),
+)
+TEXT = st.one_of(
+    st.text(CHARS),
+    # a run of backslashes before a quote, escaped or not once encoded
+    st.builds(lambda run, a, b: a + "\\" * run + '"' + b,
+              st.integers(0, 6), st.text(CHARS), st.text(CHARS)),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)), st.floats(), TEXT,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.dictionaries(TEXT, inner)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+@example(json.loads("[" * 60 + "]" * 60))
+@example(json.loads('{"a": ' * 60 + "{}" + "}" * 60))
+@example({"": {}, "a": [[], {}, [{}]], "\\\\\"": "\\\""})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 10**40])
+def test_json_encoder_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
