@@ -473,11 +473,10 @@ def _cmd_classify(args):
     rep = classify_fixed(space.free.generator, space.ground, args.arity, args.budget)
     entries = []
     for e in rep.entries:
-        entries.append({
-            "blocks": [list(b) for b in e.partition.blocks()],
-            "fixed": e.fixed,
-            "radical_blocks": [list(b) for b in e.radical.blocks()],
-        })
+        blocks = [list(b) for b in e.partition.blocks()]
+        # a fixed congruence is its own radical
+        radical = blocks if e.fixed else [list(b) for b in e.radical.blocks()]
+        entries.append({"blocks": blocks, "fixed": e.fixed, "radical_blocks": radical})
     payload = {"total": rep.total, "fixed_count": rep.fixed_count, "entries": entries}
 
     def lines():

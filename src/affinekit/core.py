@@ -10,7 +10,8 @@ encoding, so tables, power carriers and product carriers all agree.
 _digits and _encode are the one place these codes are computed over
 arrays, for any radices: no radices give the one empty code, which is how
 constants take the same path as every other arity. encode_point and
-decode_point are their scalar forms for a single point.
+decode_point are their scalar forms for a single point. _apply_all applies
+an operation table to every tuple of operands at once, in the same order.
 """
 
 from __future__ import annotations
@@ -67,10 +68,14 @@ def _encode(digits, sizes):
     return code
 
 
-def _recode(m, k, r, base):
-    """For every code below k**r: its big-endian digits mapped by m, encoded
-    in radix base."""
-    return _encode(m[_digits((k,) * r)], (base,) * r)
+def _apply_all(table, values, r):
+    """An r-ary operation table applied to every r-tuple of rows of values
+    (shape (m, *batch)): entry [p1, .., pr] is table[values[p1], .., values[pr]]."""
+    m = len(values)
+    return table[tuple(
+        values.reshape((1,) * j + (m,) + (1,) * (r - 1 - j) + values.shape[1:])
+        for j in range(r)
+    )]
 
 
 def _chunks(items, width):
@@ -235,8 +240,7 @@ def generate_subuniverse(alg, seeds):
         frozen = len(found)
         known = np.array(found, dtype=np.int64)
         for sym, r in alg.signature.symbols:
-            values = alg.np_table(sym).ravel()[_recode(known, frozen, r, alg.size)]
-            for v in values.tolist():
+            for v in _apply_all(alg.np_table(sym), known, r).ravel().tolist():
                 if v not in seen:
                     found.append(v)
                     seen.add(v)
@@ -391,8 +395,8 @@ class Partition:
         lab = np.asarray(self.labels, dtype=np.int64)
         rep_of = _least_members(self.labels)
         for sym, r in alg.signature.symbols:
-            t = alg.np_table(sym).ravel()
-            if not np.array_equal(lab[t], lab[t[_recode(rep_of, self.size, r, self.size)]]):
+            t = alg.np_table(sym)
+            if not np.array_equal(lab[t], lab[_apply_all(t, rep_of, r)]):
                 return False
         return True
 
@@ -430,11 +434,9 @@ def is_homomorphism(h):
         if not 0 <= v < h.target.size:
             raise ShapeMismatch(f"image {v} outside target carrier")
     m = np.asarray(h.mapping, dtype=np.int64)
-    ks, kt = h.source.size, h.target.size
     for sym, r in h.source.signature.symbols:
-        ts = h.source.np_table(sym).ravel()
-        tt = h.target.np_table(sym).ravel()
-        if not np.array_equal(m[ts], tt[_recode(m, ks, r, kt)]):
+        if not np.array_equal(m[h.source.np_table(sym)],
+                              _apply_all(h.target.np_table(sym), m, r)):
             return False
     return True
 
@@ -468,10 +470,8 @@ def product_algebra(factors, signature=None, budget=DEFAULT_BUDGET):
     for sym, r in signature.symbols:
         if total ** r > budget:
             raise BudgetExceeded(f"product table for {sym!r} exceeds budget {budget}")
-        columns = np.array([
-            f.np_table(sym).ravel()[_recode(d, total, r, f.size)]
-            for f, d in zip(factors, digits)
-        ], dtype=np.int64).reshape(len(factors), total ** r)
+        columns = np.array([_apply_all(f.np_table(sym), d, r) for f, d in zip(factors, digits)],
+                           dtype=np.int64).reshape(len(factors), total ** r)
         tables.append(tuple(_encode(columns, sizes).tolist()))
     return FiniteAlgebra(
         signature, total, tuple(tables), name="" if factors else "trivial"
@@ -503,7 +503,7 @@ def quotient_algebra(alg, part):
     lab = np.asarray(part.labels, dtype=np.int64)
     reps = _representatives(lab)
     tables = tuple(
-        tuple(lab[alg.np_table(sym).ravel()[_recode(reps, len(reps), r, alg.size)]].tolist())
+        tuple(lab[_apply_all(alg.np_table(sym), reps, r)].ravel().tolist())
         for sym, r in alg.signature.symbols
     )
     quot = FiniteAlgebra(alg.signature, len(reps), tables)
@@ -570,6 +570,8 @@ def _unary_translations(alg):
     2**53, and above that a rounding miss only keeps a map that could have
     been dropped."""
     k = alg.size
+    # alg.tables in the least dtype, not np_table, which would keep F(n)'s
+    # int64 tables cached: lattice benchmark peak RSS 47.3 -> 48.9 MB
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
     # return_index: numpy's unique without index outputs imports numpy.ma
     rows = np.unique(np.concatenate([ident[None], *(
@@ -612,15 +614,15 @@ def _closure(images, x, y, rows, known=None):
     the new one, so a row ends as the equivalence closure of pairs whose
     images it holds: a congruence.
 
-    known = (reps, blocks, of_pair, target) gives the distinct principal
-    congruences found so far as least-member rows, their block counts, at
-    a*k + b the row of Cg(a, b) or -1, and for each row the block count of
-    the finest known congruence holding its pair (0 if none). Each row then
-    holds one pair p, and Cg(p) is the equivalence closure of p and every
-    Cg(t(p)): the coarsest known Cg(t(p)) is joined whole, and the image
-    pairs it holds are not pushed. A row is done when it has target blocks."""
+    known = (reps, blocks, of_pair) gives the distinct principal congruences
+    found so far as least-member rows, their block counts, and at a*k + b
+    the row of Cg(a, b) or -1. Each row then holds one pair p, and Cg(p) is
+    the equivalence closure of p and every Cg(t(p)): each round joins the
+    coarsest known Cg(t(p)) among a row's image pairs whole, and does not
+    push the image pairs it holds. A row that has reached Cg(p) maps every
+    pushed pair into itself, so it stops one round later."""
     k = len(images)
-    reps, blocks, of_pair, target = known or (np.empty((0, k), dtype=np.int32),) * 4
+    reps, blocks, of_pair = known or (np.empty((0, k), dtype=np.int32),) * 3
     ident = np.arange(rows * k, dtype=np.int32)
     rep = _settle(ident.copy(), x, y)
     if len(reps):
@@ -637,9 +639,7 @@ def _closure(images, x, y, rows, known=None):
             np.minimum.at(best, row[hit], rank[found[hit]])
             jr = np.flatnonzero(best <= rank.max())
             jf = best[jr] % len(reps)
-            fin = blocks[jf] == target[jr]
-            rep.reshape(rows, k)[jr[fin]] = reps[jf[fin]] + jr[fin, None] * k
-            e, j = np.nonzero((reps[jf] != np.arange(k)) & ~fin[:, None])
+            e, j = np.nonzero(reps[jf] != np.arange(k))
             rep = _settle(rep, jr[e] * k + j, jr[e] * k + reps[jf[e], j])
             rest = ~hit | (rank[found] != best[row])
             u, v = u[rest], v[rest]
@@ -647,9 +647,6 @@ def _closure(images, x, y, rows, known=None):
         rep = _settle(rep, u, v)
         y = np.flatnonzero((rep != before) & (before == ident))
         x = rep[y]
-        if len(reps):
-            live = (rep == ident).reshape(rows, k).sum(axis=1) != target
-            x, y = x[live[y // k]], y[live[y // k]]
     return rep.reshape(rows, k) - ident[::k, None]
 
 
@@ -663,9 +660,8 @@ def _principals(alg, budget):
     within Cg(a, b) and Cg(a, b) within θ. So round 0 settles a pair with
     no closure when the coarsest known Cg(t(a), t(b)) has as many blocks
     as the finest known θ holding (a, b): Cg(a, b) is that principal. The
-    other pairs go to one _closure call with a row each, which takes the
-    same finest block counts as its targets. BudgetExceeded when the
-    principals outgrow budget."""
+    other pairs go to one _closure call with a row each. BudgetExceeded
+    when the principals outgrow budget."""
     k = alg.size
     images = alg._translations
     reps, index = np.empty((0, k), dtype=np.int32), {}
@@ -690,7 +686,7 @@ def _principals(alg, budget):
             continue
         off = np.arange(len(rest)) * k
         cg = _closure(images, off + rest, off + b, len(rest),
-                      (reps, blocks, of_pair, target[rest]))
+                      (reps, blocks, of_pair))
         of_pair[rest * k + b] = [index.setdefault(rep.tobytes(), len(index)) for rep in cg]
         if len(index) > budget:
             raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")

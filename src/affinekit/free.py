@@ -34,6 +34,7 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     Var,
+    _apply_all,
     _digits,
     decode_point,
     encode_point,
@@ -52,16 +53,6 @@ def _frozen(array):
     """Mark an array read-only; cached results are shared by every caller."""
     array.flags.writeable = False
     return array
-
-
-def _apply_all(table, values, r):
-    """An r-ary operation table applied to every r-tuple of rows of values
-    (shape (m, *batch)): entry [p1, .., pr] is table[values[p1], .., values[pr]]."""
-    m = len(values)
-    return table[tuple(
-        values.reshape((1,) * j + (m,) + (1,) * (r - 1 - j) + values.shape[1:])
-        for j in range(r)
-    )]
 
 
 @dataclass(frozen=True)

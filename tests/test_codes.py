@@ -1,6 +1,6 @@
 """The constructions that compute big-endian codes over arrays (products,
-powers, quotients, the homomorphism and subdirect checks, subuniverses)
-against plain-Python pointwise references built from the oracles, on random
+powers, quotients, the congruence, homomorphism and subdirect checks,
+subuniverses) against plain-Python pointwise references built from the oracles, on random
 small algebras with and without constants; and the edge cases of the one
 empty code: no factors, no witnesses, no solutions."""
 
@@ -106,6 +106,11 @@ def test_code_constructions_match_pointwise_references(data):
               for args in product(reps, repeat=r))
         for (_, r), tab in zip(g.signature.symbols, g.tables)
     )
+
+    labels = data.draw(st.lists(st.integers(0, g.size - 1), min_size=g.size,
+                                max_size=g.size))
+    assert (Partition.from_labels(labels).is_congruence_of(g)
+            == oracles.respects_ops(labels, _ops_dict(g), g.size))
 
     homs = oracles.brute_homs(_ops_dict(g), g.size, _ops_dict(prod), prod.size)
     assert homs == [

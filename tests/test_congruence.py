@@ -152,6 +152,37 @@ def test_round_0_leaves_the_rest_to_the_closure(monkeypatch, name, n, closed):
         assert labels == oracles.least_congruence(ops, alg.size, [(a, b)])
 
 
+def closures_match_plain_route(alg):
+    """Run _principals on alg, checking that each _closure call it makes
+    gives the rows the closure gives without known principals; the number
+    of calls."""
+    calls, closure = [], core._closure
+
+    def check(images, x, y, rows, known):
+        got = closure(images, x, y, rows, known)
+        np.testing.assert_array_equal(got, closure(images, x, y, rows))
+        calls.append(rows)
+        return got
+
+    with mock.patch.object(core, "_closure", check):
+        _principals(alg, DEFAULT_BUDGET)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name, n", [("bool2", 3), ("z4", 3)])
+def test_known_principals_give_the_plain_closure_pinned(name, n):
+    assert closures_match_plain_route(free(name, n)) > 0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators())
+def test_known_principals_give_the_plain_closure_on_random_algebras(generator):
+    g, n = generator
+    for alg in (g, free_algebra(g, n).as_algebra()):
+        if alg.size:
+            closures_match_plain_route(alg)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(generators())
 def test_principal_table_of_random_algebras_matches_oracle(generator):
