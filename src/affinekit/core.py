@@ -68,14 +68,17 @@ def _encode(digits, sizes):
     return code
 
 
-def _apply_all(table, values, r):
+def _apply_all(table, values, r, first=None):
     """An r-ary operation table applied to every r-tuple of rows of values
-    (shape (m, *batch)): entry [p1, .., pr] is table[values[p1], .., values[pr]]."""
-    m = len(values)
-    return table[tuple(
-        values.reshape((1,) * j + (m,) + (1,) * (r - 1 - j) + values.shape[1:])
+    (shape (m, *batch)): entry [p1, .., pr] is table[values[p1], .., values[pr]].
+    Given first, p1 runs over the rows of first instead."""
+    operands = [
+        values.reshape((1,) * j + (len(values),) + (1,) * (r - 1 - j) + values.shape[1:])
         for j in range(r)
-    )]
+    ]
+    if first is not None:
+        operands[0] = first.reshape((len(first),) + (1,) * (r - 1) + values.shape[1:])
+    return table[tuple(operands)]
 
 
 def _chunks(items, width):

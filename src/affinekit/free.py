@@ -10,6 +10,15 @@ automatically one of minimal depth, together with its recipe: the operation
 and the operand indices of that term. The last round finds nothing new, so
 the element indices it computes are the operation tables of F(n).
 
+The rounds are semi-naive. A round applies an operation only to the
+operand tuples that hold an element new in the previous round, in
+big-endian order, a chunk of first operands at a time, and copies the
+other entries of its table from the previous round. Every skipped tuple
+was applied in an earlier round and gives a known element, so the new
+elements, their first terms and their recipes come in the same order as
+with full rounds. Candidate rows are held in the least dtype that holds
+|G| - 1 and deduplicated within a chunk before the element lookup.
+
 Replaying the recipes in witness order, out[p] = f(out[o1], .., out[or]),
 evaluates every element in any algebra of the signature from images of the
 generators, over a trailing batch axis. Ground evaluation (the images are
@@ -35,8 +44,8 @@ from .core import (
     Homomorphism,
     Var,
     _apply_all,
+    _chunks,
     _digits,
-    decode_point,
     encode_point,
     format_term,
 )
@@ -153,7 +162,9 @@ def free_algebra(generator, arity, budget=DEFAULT_BUDGET):
 
 @lru_cache(maxsize=None)
 def _free_cached(generator, arity, budget):
-    npoints = generator.size ** arity
+    k = generator.size
+    npoints = k ** arity
+    dtype = np.min_scalar_type(k - 1)
     rows = []
     witnesses = []
     recipes = []
@@ -171,36 +182,56 @@ def _free_cached(generator, arity, budget):
 
     var_positions = tuple(
         intern(row.tobytes(), row, Var(i), (None, (i,)))
-        for i, row in enumerate(_digits((generator.size,) * arity))
+        for i, row in enumerate(_digits((k,) * arity).astype(dtype))
     )
 
+    last = 0  # elements known before the previous round
+    tables = [np.empty((0,) * r, dtype=np.int64) for _, r in generator.signature.symbols]
     while True:
         frozen = len(rows)
-        stacked = np.array(rows, dtype=np.int64).reshape(frozen, npoints)
-        tables = []
+        stacked = np.array(rows, dtype=dtype).reshape(frozen, npoints)
         for s, (sym, r) in enumerate(generator.signature.symbols):
             if r == 0:
-                row = np.full(npoints, generator.table(sym)[0], dtype=np.int64)
+                row = np.full(npoints, generator.table(sym)[0], dtype=dtype)
                 p = intern(row.tobytes(), row, App(sym), (s, ()))
-                tables.append(_frozen(np.array(p)))
+                tables[s] = _frozen(np.array(p))
                 continue
             if frozen ** r > budget:
                 raise BudgetExceeded(
                     f"operand tuples for {sym!r} exceed budget {budget}"
                 )
-            cand = _apply_all(generator.np_table(sym), stacked, r).reshape(-1, npoints)
-            keys = cand.view(np.dtype((np.void, cand.itemsize * npoints)))
-            found = np.empty(len(cand), dtype=np.int64)
-            for g, key in enumerate(keys.ravel().tolist()):
-                p = index.get(key)
-                if p is None:
-                    operands = decode_point(g, frozen, r)
-                    witness = App(sym, tuple(witnesses[o] for o in operands))
-                    p = intern(key, cand[g].copy(), witness, (s, operands))
-                found[g] = p
-            tables.append(_frozen(found.reshape((frozen,) * r)))
+            table = np.empty((frozen,) * r, dtype=np.int64)
+            table[(slice(last),) * r] = tables[s]
+            op = generator.np_table(sym).astype(dtype).ravel()
+            cells = np.min_scalar_type(k ** r - 1)
+            # tuple codes first * width + rest; fresh: some operand >= last
+            width = frozen ** (r - 1)
+            rest = _digits((frozen,) * (r - 1))
+            rest_fresh = (rest >= last).any(axis=0)
+            for firsts in _chunks(np.arange(frozen), width * npoints):
+                codes = np.flatnonzero(rest_fresh | (firsts >= last)[:, None])
+                operands = (firsts[codes // width], *rest[:, codes % width])
+                cell = stacked[operands[0]].astype(cells)
+                for o in operands[1:]:
+                    cell = cell * k + stacked[o]
+                cand = op.take(cell)
+                keys = cand.view(np.dtype((np.void, cand.itemsize * npoints))).ravel()
+                uniq, first, inverse = np.unique(
+                    keys, return_index=True, return_inverse=True
+                )
+                ids = [index.get(key) for key in uniq.tolist()]
+                # new elements in the order of their first tuple
+                for u in sorted((u for u, p in enumerate(ids) if p is None),
+                                key=first.__getitem__):
+                    g = first[u]
+                    args = tuple(int(o[g]) for o in operands)
+                    witness = App(sym, tuple(witnesses[o] for o in args))
+                    ids[u] = intern(uniq[u].tobytes(), cand[g].copy(), witness, (s, args))
+                table.ravel()[firsts[0] * width + codes] = np.array(ids)[inverse]
+            tables[s] = _frozen(table)
         if len(rows) == frozen:
             break
+        last = frozen
 
     elements = tuple(
         TermFunction(arity, tuple(row.tolist()), wit)
@@ -266,13 +297,19 @@ def _ground_cached(generator, ground, arity, budget):
     coords = _digits((ground.size,) * arity)
     ev = _replay(free, ground, coords)
     # column a is a homomorphism sending x_i to a_i: check the generators,
-    # then every operation on every operand tuple at once
+    # then every operation on every operand tuple, a chunk of first
+    # operands at a time
     point_ok = np.ones(coords.shape[1], dtype=bool)
     for i, p in enumerate(free.var_positions):
         point_ok &= ev[p] == coords[i]
     for (sym, r), table in zip(generator.signature.symbols, free._tables):
-        agree = ev[table] == _apply_all(ground.np_table(sym), ev, r)
-        point_ok &= agree.all(axis=tuple(range(r)))
+        op = ground.np_table(sym)
+        if r == 0:
+            point_ok &= ev[table] == op[()]
+            continue
+        for firsts in _chunks(np.arange(free.size), free.size ** (r - 1) * ev.shape[1]):
+            agree = ev[table[firsts]] == _apply_all(op, ev, r, first=ev[firsts])
+            point_ok &= agree.all(axis=tuple(range(r)))
     return GroundSpace(free, ground, _frozen(ev), _frozen(point_ok))
 
 

@@ -5,7 +5,8 @@ set-based fixpoints, exhaustive enumeration, no numpy, no canonical orders.
 Tests compare the package's answers against these on small instances. The
 exceptions are adjunction_squares, a reference route that checks the
 package's naturality sweep one square at a time through its single-arrow
-functors and composition; join_irreducibles, the all-rows test that the
+functors and composition; free_bfs, the full-round clone BFS that the
+package ran before its semi-naive rounds; join_irreducibles, the all-rows test that the
 package ran before it kept a generating pair for each principal
 congruence; and stone_report, the per-congruence, per-subset and per-pair
 loop that stone_demo ran before its array sweeps.
@@ -390,6 +391,56 @@ def free_as_algebra(ops, k, n):
                 flat.append(index[apply_op(table, k, args, npoints)])
             out_ops[name] = (arity, tuple(flat))
     return out_ops, len(elems)
+
+
+def free_bfs(generator, arity):
+    """The full-round clone BFS that free._free_cached ran before its rounds
+    became semi-naive: each round applies every operation, in signature
+    order, to every tuple of the elements known at the round start, in
+    big-endian order, and looks up every result. Returns (rows, witnesses,
+    recipes, var_positions, tables): rows as lists, tables as flat lists of
+    element indices from the last round ([p] for a constant)."""
+    import numpy as np
+
+    from affinekit.core import App, Var, _apply_all, _digits, decode_point
+
+    npoints = generator.size ** arity
+    rows, witnesses, recipes, index = [], [], [], {}
+
+    def intern(key, row, witness, recipe):
+        if key not in index:
+            index[key] = len(rows)
+            rows.append(row)
+            witnesses.append(witness)
+            recipes.append(recipe)
+        return index[key]
+
+    var_positions = tuple(
+        intern(row.tobytes(), row, Var(i), (None, (i,)))
+        for i, row in enumerate(_digits((generator.size,) * arity))
+    )
+    while True:
+        frozen = len(rows)
+        stacked = np.array(rows, dtype=np.int64).reshape(frozen, npoints)
+        tables = []
+        for s, (sym, r) in enumerate(generator.signature.symbols):
+            if r == 0:
+                row = np.full(npoints, generator.table(sym)[0], dtype=np.int64)
+                tables.append([intern(row.tobytes(), row, App(sym), (s, ()))])
+                continue
+            cand = _apply_all(generator.np_table(sym), stacked, r).reshape(-1, npoints)
+            found = []
+            for g, row in enumerate(cand):
+                p = index.get(row.tobytes())
+                if p is None:
+                    operands = decode_point(g, frozen, r)
+                    witness = App(sym, tuple(witnesses[o] for o in operands))
+                    p = intern(row.tobytes(), row.copy(), witness, (s, operands))
+                found.append(p)
+            tables.append(found)
+        if len(rows) == frozen:
+            break
+    return [row.tolist() for row in rows], witnesses, recipes, var_positions, tables
 
 
 def _fresh_tuples(frozen, last, r):

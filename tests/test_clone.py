@@ -11,7 +11,9 @@ brute-force oracles.
 
 import hashlib
 import json
+import tracemalloc
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affinekit.adjunction import _homomorphism_table
+from affinekit import core, free
 from affinekit.core import (
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     all_congruences,
     generate_subuniverse,
@@ -46,6 +50,59 @@ FREE_DIGESTS = {
     ("semilat2", 4): "14e0fb57b5c87b87",
     ("z2", 3): "765630520c3e362f",
     ("z4", 2): "e4bc9783d9c3508b",
+    # recorded from the full-round BFS (tests/oracles.py::free_bfs)
+    ("bool2", 0): "b1e936e82b9f888e",
+    ("bool2", 1): "b3b3650556b802fc",
+    ("bool2", 2): "df7b9bc42a004db9",
+    ("distlat2", 0): "70eec58a72cb5bd6",
+    ("distlat2", 1): "c3962c0cce1bafb5",
+    ("distlat2", 2): "eae26e5bdcd4e004",
+    ("distlat2", 4): "6f4befb34426ace5",
+    ("semilat2", 0): "ea87be34d3e150a3",
+    ("semilat2", 1): "61dc085981c3beee",
+    ("semilat2", 2): "5e83292b0ca7ed54",
+    ("semilat2", 3): "af2d9216792d2140",
+    ("z2", 0): "fee72b5226b2d3a3",
+    ("z2", 1): "48d8da761bf92873",
+    ("z2", 2): "445462932300efe1",
+    ("z2-in-z4", 0): "fee72b5226b2d3a3",
+    ("z2-in-z4", 1): "48d8da761bf92873",
+    ("z2-in-z4", 2): "445462932300efe1",
+    ("z2-in-z4", 3): "765630520c3e362f",
+    ("z4", 0): "fee72b5226b2d3a3",
+    ("z4", 1): "6d8bc263a003a688",
+    ("z4", 4): "de2f7f7f6f222f85",
+}
+
+RECIPE_DIGESTS = {
+    # recipes and var_positions, recorded from the full-round BFS
+    ("bool2", 0): "7b81eea57f1b2917",
+    ("bool2", 1): "e9a81bc092c96780",
+    ("bool2", 2): "4f51c8ec3bc3c762",
+    ("bool2", 3): "1c61579259badba6",
+    ("distlat2", 0): "51195ddb46ff7de8",
+    ("distlat2", 1): "faa06c19df3326d3",
+    ("distlat2", 2): "2e2d9f00c36d2ce5",
+    ("distlat2", 3): "28f5ec64d036463c",
+    ("distlat2", 4): "faf3eeb1ca948234",
+    ("semilat2", 0): "a683096011db3975",
+    ("semilat2", 1): "d09e0184727b3e3f",
+    ("semilat2", 2): "6c78cdcbb1c4fa35",
+    ("semilat2", 3): "a46de1c5bcd87a5a",
+    ("semilat2", 4): "a412a867189ebffc",
+    ("z2", 0): "d0d49b8566ab922c",
+    ("z2", 1): "dfa79f42c7c83bfd",
+    ("z2", 2): "55e7b7b8ea4127ed",
+    ("z2", 3): "0daedec70a461010",
+    ("z2-in-z4", 0): "d0d49b8566ab922c",
+    ("z2-in-z4", 1): "dfa79f42c7c83bfd",
+    ("z2-in-z4", 2): "55e7b7b8ea4127ed",
+    ("z2-in-z4", 3): "0daedec70a461010",
+    ("z4", 0): "d0d49b8566ab922c",
+    ("z4", 1): "f31ea5da2805643e",
+    ("z4", 2): "7086038ec52a7cbd",
+    ("z4", 3): "a269fccae6a924aa",
+    ("z4", 4): "0d9dc665c2c8cd34",
 }
 
 
@@ -94,6 +151,28 @@ def test_free_algebra_matches_frozen_digest(name, n):
         f.as_algebra().tables,
     ])
     assert got == FREE_DIGESTS[name, n]
+    assert digest([f._recipes, f.var_positions]) == RECIPE_DIGESTS[name, n]
+
+
+def traced_peak_mb(call, *args):
+    """The peak of memory traced by tracemalloc (numpy's buffers included)
+    while call(*args) runs, in MB."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_free_algebra_and_ground_check_peak_memory():
+    # the uncached builders, so that a build made by an earlier test is
+    # measured again; one int64 array over all 256**2 operand tuples of
+    # 256 entries would take 134 MB
+    z4 = builtin("z4")
+    assert traced_peak_mb(free._free_cached.__wrapped__, z4, 4, DEFAULT_BUDGET) < 64
+    free_algebra(z4, 4)
+    assert traced_peak_mb(free._ground_cached.__wrapped__, z4, z4, 4, DEFAULT_BUDGET) < 16
 
 
 @pytest.mark.parametrize("generator, ground, n, ok_points", GROUND_CASES)
@@ -229,6 +308,36 @@ def test_bfs_tables_and_substitution_match_oracles(data):
         inner = [dst.elements[i].table for i in images]
         want = oracles.apply_op(f.elements[p].table, k, inner, k ** n_dst)
         assert dst.elements[substitute(f, p, images, dst)].table == want
+
+
+@PROPERTY_SETTINGS
+@given(generators(), st.sampled_from([1, 64, core._CHUNK]))
+@example((builtin("bool2"), 3), 1)
+@example((builtin("z4"), 3), 64)
+def test_semi_naive_bfs_matches_full_rounds(case, chunk):
+    # a small chunk splits every round into one first operand per chunk
+    g, n = case
+    with patch.object(core, "_CHUNK", chunk):
+        assert_matches_full_rounds(free._free_cached.__wrapped__(g, n, DEFAULT_BUDGET))
+
+
+def assert_matches_full_rounds(f):
+    rows, witnesses, recipes, var_positions, tables = oracles.free_bfs(f.generator, f.arity)
+    assert [list(e.table) for e in f.elements] == rows
+    assert [e.witness for e in f.elements] == witnesses
+    assert list(f._recipes) == recipes
+    assert f.var_positions == var_positions
+    assert [t.ravel().tolist() for t in f._tables] == tables
+
+
+def test_bfs_cell_codes_wider_than_values():
+    # 17 values fit a byte, the 289 cells of a binary table do not
+    chain = FiniteAlgebra.make(
+        17, [("max", 2, tuple(max(a, b) for a in range(17) for b in range(17)))]
+    )
+    f = free_algebra(chain, 2)
+    assert f.size == 3
+    assert_matches_full_rounds(f)
 
 
 # The graph-closure oracle alone takes seconds on some draws (the pinned one

@@ -145,6 +145,16 @@ def test_free_algebra_budget():
         free_algebra(bool2(), 3, budget=100)
 
 
+def test_free_algebra_budget_edges():
+    # the last round of F_bool2(3) pairs all 256 elements: 256**2 tuples
+    assert free_algebra(bool2(), 3, budget=65536).size == 256
+    with pytest.raises(BudgetExceeded, match="^operand tuples for 'and' exceed budget 65535$"):
+        free_algebra(bool2(), 3, budget=65535)
+    # F_z4(1) has 4 elements; the fourth found overruns a budget of 3
+    with pytest.raises(BudgetExceeded, match="^free algebra exceeds budget 3$"):
+        free_algebra(z4(), 1, budget=3)
+
+
 def test_free_algebra_is_cached():
     assert free_algebra(z4(), 1) is free_algebra(z4(), 1)
 
