@@ -124,12 +124,6 @@ def _witness_columns(free, m, budget):
     return _digits((free.size,) * m)
 
 
-def _homomorphism_table(y_space, x_space, columns):
-    """h(p) for every element p of y's free algebra (rows) and every
-    witness column (columns), by clone composition."""
-    return _replay(y_space.free, x_space.free.as_algebra(), columns)
-
-
 def _point_images(space, points, columns):
     """Codes of the points (w_1(a), .., w_m(a)) of the ground, one row per
     witness column (w_1, .., w_m), one column per point a of points."""
@@ -191,8 +185,10 @@ def _d_arrows(src, dst, columns):
 
 def _carried(x, y, columns):
     """The indices of the witness columns whose homomorphism carries y into
-    x, and the class map of each of them, one column per index."""
-    h = _homomorphism_table(y.space, x.space, columns)
+    x, and the class map of each of them, one column per index. h(p), for
+    every element p of y's free algebra (rows) and every witness column,
+    comes by clone composition."""
+    h = _replay(y.space.free, x.space.free.as_algebra(), columns)
     related = _related(x)
     live = np.arange(h.shape[1])
     for p, q in y.pairs:

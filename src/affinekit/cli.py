@@ -265,9 +265,9 @@ def _generator(args, default=None):
 def _space(args, default_generator=None, arity=None):
     g = _generator(args, default=default_generator)
     a = _load_ref(args.ground) if getattr(args, "ground", None) else g
-    n = args.arity if arity is None else arity
+    n, flag = (args.arity, "--arity") if arity is None else (arity, "--target-arity")
     if n < 0:
-        raise ValidationError("--arity must be >= 0")
+        raise ValidationError(f"{flag} must be >= 0")
     return ground_space(g, a, n, args.budget)
 
 

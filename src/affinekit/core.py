@@ -659,12 +659,10 @@ def _principals(alg, budget):
     of each row; and of_pair, which holds the row of Cg(a, b) at a*k + b.
 
     The pairs of one b, for all a < b, are settled together. For every
-    translation t and every congruence θ holding (a, b), Cg(t(a), t(b)) is
-    within Cg(a, b) and Cg(a, b) within θ. So round 0 settles a pair with
-    no closure when the coarsest known Cg(t(a), t(b)) has as many blocks
-    as the finest known θ holding (a, b): Cg(a, b) is that principal. The
-    other pairs go to one _closure call with a row each. BudgetExceeded
-    when the principals outgrow budget."""
+    translation t, Cg(t(a), t(b)) is within Cg(a, b), so a known
+    Cg(t(a), t(b)) that holds (a, b) is Cg(a, b): round 0 settles such a
+    pair with no closure. The other pairs go to one _closure call with a
+    row each. BudgetExceeded when the principals outgrow budget."""
     k = alg.size
     images = alg._translations
     reps, index = np.empty((0, k), dtype=np.int32), {}
@@ -673,16 +671,14 @@ def _principals(alg, budget):
     of_pair = np.full(k * k, -1, dtype=np.int32)
     for b in range(1, k):
         a = np.arange(b)
-        holds = reps[:, :b] == reps[:, b, None]
-        target = np.where(holds, blocks[:, None], 0).max(axis=0, initial=0)
-        # rank orders the known rows by blocks, then index; the last entry
-        # stands for -1, which of_pair holds on the diagonal, at the pairs
-        # of this b and above
-        rank = np.append(blocks, k + 1) * (len(reps) + 1) + np.arange(len(reps) + 1)
+        # the known rows of the translates (t(a), t(b)), -1 where unknown;
+        # every one that holds (a, b) is the same row, Cg(a, b)
         lo, hi = np.minimum(images[:b], images[b]), np.maximum(images[:b], images[b])
-        coarse, row = np.divmod(rank[of_pair[lo * k + hi]].min(axis=1, initial=rank[-1]),
-                                len(reps) + 1)
-        settled = coarse == target
+        known = of_pair[lo * k + hi]
+        hit = known >= 0
+        hit[hit] = reps[known[hit], hit.nonzero()[0]] == reps[known[hit], b]
+        row = np.where(hit, known, -1).max(axis=1, initial=-1)
+        settled = row >= 0
         of_pair[a[settled] * k + b] = row[settled]
         rest = a[~settled]
         if not len(rest):

@@ -411,6 +411,12 @@ def test_exit_usage_errors(capsys, tmp_path):
     ])[0] == 2
     assert run(capsys, [])[0] == 2  # no subcommand
     assert run(capsys, ["cop", "--builtin", "bool2", "--arity", "zz"])[0] == 2
+    # a negative arity is named by the option that gave it
+    assert run(capsys, ["cop", "--builtin", "bool2", "--arity", "-1"]) == (
+        2, "", "error: --arity must be >= 0\n")
+    assert run(capsys, ["adjoint", "--builtin", "bool2", "--arity", "1",
+                        "--target-arity", "-1"]) == (
+        2, "", "error: --target-arity must be >= 0\n")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(capsys, ["cop", "--algebra", str(bad), "--points", "0"])[0] == 2
@@ -420,6 +426,17 @@ def test_exit_usage_errors(capsys, tmp_path):
     assert run(capsys, ["cop", "--algebra", short, "--points", "0"])[0] == 2
     assert run(capsys, ["cop", "--algebra", str(tmp_path / "missing.json"),
                         "--points", "0"])[0] == 2
+
+
+def test_readme_relation_examples_run(capsys):
+    # the README's examples of --equations (terms) and --pairs (indices)
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    for flag, text in [("--equations", "and(x0, x1) = and(x1, x0)"),
+                       ("--pairs", "0,1;2,3")]:
+        assert f'`{flag} "{text}"`' in readme
+        code, out, _ = run(capsys, ["vop", "--builtin", "bool2", "--arity", "2", flag, text])
+        assert code == 0 and out.startswith("solution set of ")
 
 
 def test_exit_budget(capsys):

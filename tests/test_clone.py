@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affinekit.adjunction import _homomorphism_table
 from affinekit import core, free
 from affinekit.core import (
     DEFAULT_BUDGET,
@@ -30,7 +29,7 @@ from affinekit.core import (
     power_algebra,
     quotient_algebra,
 )
-from affinekit.free import free_algebra, ground_space, substitute
+from affinekit.free import _replay, free_algebra, ground_space, substitute
 from affinekit.galois import AffineSubset, c_operator
 from affinekit.instances import builtin
 
@@ -191,7 +190,7 @@ def test_homomorphism_table_matches_pointwise_composition(name, ns, nd):
     fs, fd = ys.free, xs.free
     witnesses = list(product(range(fd.size), repeat=ns))
     columns = np.array(witnesses, dtype=np.int64).reshape(len(witnesses), ns).T
-    table = _homomorphism_table(ys, xs, columns)
+    table = _replay(fs, fd.as_algebra(), columns)
     assert table.shape == (fs.size, len(witnesses))
     for column, w in zip(table.T.tolist(), witnesses):
         inner = [fd.elements[i].table for i in w]

@@ -109,16 +109,17 @@ def test_join_irreducibles_from_generating_pairs_match_oracle(name):
 # the principal table: round 0 against the closure
 
 
-def principal_table(alg):
-    """The labels of Cg(a, b) for every pair a < b, from _principals."""
+def principal_table(alg, principals):
+    """The labels of Cg(a, b) for every pair a < b, from _principals'
+    output."""
     k = alg.size
-    reps, _, of_pair = _principals(alg, DEFAULT_BUDGET)
+    reps, _, of_pair = principals
     return {(a, b): _partition(reps[of_pair[a * k + b]]).labels
             for b in range(k) for a in range(b)}
 
 
 def closed_pairs(monkeypatch, alg):
-    """The pairs that _principals leaves to _closure, and its table."""
+    """The pairs that _principals leaves to _closure, and its output."""
     got, closure = [], core._closure
     k = alg.size
 
@@ -127,16 +128,64 @@ def closed_pairs(monkeypatch, alg):
         return closure(images, x, y, rows, known)
 
     monkeypatch.setattr(core, "_closure", spy)
-    return got, principal_table(alg)
+    return got, _principals(alg, DEFAULT_BUDGET)
+
+
+# sha256 prefixes of the bytes of _principals' reps (int32), pairs (int64)
+# and of_pair (int32), and of the (a, b) pairs it hands to _closure as an
+# int64 array, recorded from the round 0 that compared the block count of
+# the coarsest known Cg(t(a), t(b)) with that of the finest known
+# congruence holding (a, b). "f0/0" is a 2-element algebra whose one
+# operation is a constant, so it has no translations; "one" a 1-element
+# algebra with a binary operation
+PINNED_ALGEBRAS = {
+    "f0/0": lambda: FiniteAlgebra.make(2, [("f0", 0, (0,))]),
+    "one": lambda: FiniteAlgebra.make(1, [("f0", 2, (0,))]),
+}
+PRINCIPAL_DIGESTS = {
+    ("bool2", 1): ("410a01938ebd63f9", "79804fd005319925", "371ebe1650847a1b", "02b1a41cfe305bf0"),
+    ("bool2", 2): ("bf2d148310b20a5b", "e6d0a4d177a63050", "5c9596ebefff7183", "0761bafdda19512c"),
+    ("bool2", 3): ("ad5964df6eee64cd", "6fbadfe07ffa1979", "59a9ef95b9db5db4", "4a5b65aa6ccf59db"),
+    ("distlat2", 1): ("38582a150baac43d", "79804fd005319925", "437056011faab0da", "79804fd005319925"),
+    ("distlat2", 2): ("ac1403012158750a", "785e1e029f68cdaf", "54637aa311b56073", "864671509d99a91e"),
+    ("distlat2", 3): ("5a425c5732868495", "a34cff7fa0c2c8d3", "729b8d4f62c1f813", "c708e8b972386bc2"),
+    ("distlat2", 4): ("ec28ee36bccc9885", "e1a144423fb34386", "b7bf9145cf6acd9c", "9bd103ed1c1b536e"),
+    ("semilat2", 1): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "ad95131bc0b799c0", "e3b0c44298fc1c14"),
+    ("semilat2", 2): ("b67bfd122cbf3e19", "79804fd005319925", "437056011faab0da", "79804fd005319925"),
+    ("semilat2", 3): ("a758cf2ba4b86cd5", "4a0d45150b11888a", "b6e406c1d4817611", "4a0d45150b11888a"),
+    ("z2", 1): ("af5570f5a1810b7a", "9d34149fbd1fe777", "ccaba7b6346a4560", "9d34149fbd1fe777"),
+    ("z2", 2): ("1cafb774d09f5107", "79804fd005319925", "371ebe1650847a1b", "79804fd005319925"),
+    ("z2", 3): ("c0cb28cb5b6a7bfa", "230a60e599fb9214", "4019954a80a89a3c", "d50b22c936f41bd4"),
+    ("z2-in-z4", 1): ("af5570f5a1810b7a", "9d34149fbd1fe777", "ccaba7b6346a4560", "9d34149fbd1fe777"),
+    ("z2-in-z4", 2): ("1cafb774d09f5107", "79804fd005319925", "371ebe1650847a1b", "79804fd005319925"),
+    ("z2-in-z4", 3): ("c0cb28cb5b6a7bfa", "230a60e599fb9214", "4019954a80a89a3c", "d50b22c936f41bd4"),
+    ("z4", 1): ("9f06ac8cf187637e", "4cea01406733b6dd", "3c0fec8efb3f07f2", "6403243e22075780"),
+    ("z4", 2): ("1bfd66d4c21f332b", "5740cdaca5955a84", "38aa04e0731fc5e3", "06090ac1b18497fe"),
+    ("z4", 3): ("f46e702b41f03c4e", "41fba40d903bdca6", "b6e9cfc7b5877baf", "8d5755d1b2a5f01e"),
+    ("z4", 4): ("7f7d84427036c6c9", "158a6fd4ac6e45d9", "38489db2cd67ecea", "0052dbf640be02b9"),
+    ("f0/0", 0): ("af5570f5a1810b7a", "9d34149fbd1fe777", "ccaba7b6346a4560", "9d34149fbd1fe777"),
+    ("one", 0): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "ad95131bc0b799c0", "e3b0c44298fc1c14"),
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(PRINCIPAL_DIGESTS))
+def test_principals_match_frozen_digest(monkeypatch, name, n):
+    alg = PINNED_ALGEBRAS[name]() if name in PINNED_ALGEBRAS else free(name, n)
+    got, principals = closed_pairs(monkeypatch, alg)
+    arrays = (*principals, np.array(got, dtype=np.int64).reshape(-1, 2))
+    assert tuple(hashlib.sha256(x.tobytes()).hexdigest()[:16]
+                 for x in arrays) == PRINCIPAL_DIGESTS[name, n]
 
 
 def test_round_0_settles_translates_of_known_principals(monkeypatch):
     # in z4, Cg(0, 1) is total and Cg(0, 2) = {0, 2 | 1, 3}. (0, 2) still
-    # needs the closure: the total congruence is the finest known one that
-    # holds it, and its translates by x -> x + c are (0, 2) and (1, 3),
-    # unknown while b = 2. Each later pair is such a translate of (0, 1) or
-    # (0, 2), whose principal has the finest known block count
-    got, table = closed_pairs(monkeypatch, builtin("z4"))
+    # needs the closure: its translates by x -> x + c are (0, 2) and
+    # (1, 3), unknown while b = 2. Each later pair p has a translate t(p)
+    # among (0, 1) and (0, 2) whose known principal holds p, and so is
+    # Cg(p): Cg(t(p)) is always within Cg(p)
+    alg = builtin("z4")
+    got, principals = closed_pairs(monkeypatch, alg)
+    table = principal_table(alg, principals)
     assert got == [(0, 1), (0, 2)]
     assert table[0, 1] == table[1, 2] == table[0, 3] == table[2, 3] == (0, 0, 0, 0)
     assert table[0, 2] == table[1, 3] == (0, 1, 0, 1)
@@ -145,7 +194,8 @@ def test_round_0_settles_translates_of_known_principals(monkeypatch):
 @pytest.mark.parametrize("name, n, closed", [("bool2", 2, 42), ("distlat2", 2, 13)])
 def test_round_0_leaves_the_rest_to_the_closure(monkeypatch, name, n, closed):
     alg = free(name, n)
-    got, table = closed_pairs(monkeypatch, alg)
+    got, principals = closed_pairs(monkeypatch, alg)
+    table = principal_table(alg, principals)
     assert len(got) == closed < len(table)
     ops = _ops_dict(alg)
     for (a, b), labels in table.items():
@@ -190,7 +240,8 @@ def test_principal_table_of_random_algebras_matches_oracle(generator):
     for alg in (g, free_algebra(g, n).as_algebra()):
         if 0 < alg.size <= 16:
             ops = _ops_dict(alg)
-            for (a, b), labels in principal_table(alg).items():
+            table = principal_table(alg, _principals(alg, DEFAULT_BUDGET))
+            for (a, b), labels in table.items():
                 assert labels == oracles.least_congruence(ops, alg.size, [(a, b)])
 
 
