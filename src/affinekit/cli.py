@@ -6,13 +6,15 @@ requested arity, and prints either readable text or canonical JSON
 (sorted keys, stable layout). Exit codes: 0 success, 1 domain errors
 (unknown symbols, arity or range problems, inputs outside the variety),
 2 malformed input or bad usage, 3 budget exceeded, 4 a verified theorem
-check failed, which means a bug in this package rather than in the input.
+check failed, which means a bug in this package rather than in the input,
+141 stdout closed before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -614,12 +616,17 @@ def main(argv=None):
     except AffineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        payload = {"command": args.command, "version": VERSION, **payload}
-        print(_dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(_dumps({"command": args.command, "version": VERSION, **payload}))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

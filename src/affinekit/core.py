@@ -291,9 +291,11 @@ def _labels(rep):
                               rep, axis=-1)
 
 
-def _partition(rep):
-    """The Partition of a least-member array."""
-    return Partition(len(rep), tuple(_labels(rep).tolist()))
+def _partitions(rows):
+    """The Partitions of least-member rows, labelled a chunk at a time."""
+    k = rows.shape[1]
+    return tuple(Partition(k, tuple(lab))
+                 for chunk in _chunks(rows, k) for lab in _labels(chunk).tolist())
 
 
 def _settle(rep, a, b):
@@ -323,28 +325,19 @@ class Partition:
     def __post_init__(self):
         if len(self.labels) != self.size:
             raise ValidationError("label vector length differs from size")
-        nxt = 0
-        for lab in self.labels:
-            if lab > nxt or lab < 0:
-                raise ValidationError(
-                    "labels not normalized; use Partition.from_labels"
-                )
-            if lab == nxt:
-                nxt += 1
+        firsts = list(dict.fromkeys(self.labels))
+        if firsts != list(range(len(firsts))):
+            raise ValidationError("labels not normalized; use Partition.from_labels")
 
     @classmethod
     def from_labels(cls, raw):
-        seen = {}
-        out = []
-        for lab in raw:
-            if lab not in seen:
-                seen[lab] = len(seen)
-            out.append(seen[lab])
-        return cls(len(out), tuple(out))
+        raw = list(raw)
+        number = {lab: i for i, lab in enumerate(dict.fromkeys(raw))}
+        return cls(len(raw), tuple(map(number.get, raw)))
 
     @classmethod
     def from_pairs(cls, size, pairs):
-        return _partition(_settle(np.arange(size), *_pair_arrays(size, pairs)))
+        return _partitions(_settle(np.arange(size), *_pair_arrays(size, pairs))[None])[0]
 
     @classmethod
     def identity(cls, size):
@@ -388,8 +381,8 @@ class Partition:
         """One _settle of self's least members with (x, other's least member of x)."""
         if other.size != self.size:
             raise ShapeMismatch("partitions of different sets")
-        return _partition(_settle(_least_members(self.labels), np.arange(self.size),
-                                  _least_members(other.labels)))
+        return _partitions(_settle(_least_members(self.labels), np.arange(self.size),
+                                   _least_members(other.labels))[None])[0]
 
     def is_congruence_of(self, alg):
         """Compatible with every operation of alg?"""
@@ -494,7 +487,7 @@ def generate_congruence(alg, pairs):
     a, b = _pair_arrays(alg.size, pairs)
     if alg.size == 0:
         return Partition(0, ())
-    return _partition(_closure(alg._translations, a, b, 1)[0])
+    return _partitions(_closure(alg._translations, a, b, 1))[0]
 
 
 def quotient_algebra(alg, part):
@@ -719,26 +712,30 @@ def _join_rows(gens, budget):
     """The joins of every subset of gens (least-member rows), as least-member
     rows in the least dtype that holds k. As in _close, for each g the rows
     found so far that split a pair (j, g[j]) are joined with g, a chunk at a
-    time in one flat _settle (row i at offset i*k); found keys the rows by
-    their bytes. BudgetExceeded once a chunk takes the rows past budget."""
+    time in one flat _settle (row i at offset i*k). found holds the rows'
+    bytes in order of discovery, and the rows are rebuilt from them once per
+    g, so no kept row pins the chunk it was joined in. BudgetExceeded once a
+    chunk takes the rows past budget."""
     k = gens.shape[1]
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
-    found = {ident.tobytes(): ident}
+    found = dict.fromkeys([ident.tobytes()])
     for g in gens:
         j = np.flatnonzero(g != ident)
-        for rows in _chunks(np.array(list(found.values())), k):
+        for rows in _chunks(np.frombuffer(b"".join(found), ident.dtype).reshape(-1, k), k):
             rows = rows[(rows[:, j] != rows[:, g[j]]).any(axis=1)]
             off = np.arange(0, len(rows) * k, k, dtype=np.int32)[:, None]
             rep = _settle((rows + off).ravel(), (off + j).ravel(), (off + g[j]).ravel())
             joined = (rep.reshape(-1, k) - off).astype(ident.dtype)
-            found.update((row.tobytes(), row) for row in joined)
+            found.update(dict.fromkeys(row.tobytes() for row in joined))
             if len(found) > budget:
                 raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
-    return np.array(list(found.values()))
+    return np.frombuffer(b"".join(found), ident.dtype).reshape(-1, k)
 
 
-def all_congruences(alg, budget=DEFAULT_BUDGET):
-    """Every congruence of alg, sorted by labels.
+def _congruence_rows(alg, budget):
+    """Every congruence of alg as a least-member row, the rows sorted as
+    big-endian bytes, which is the order of their labels; an empty alg has
+    the one empty row.
 
     The principal congruences come from _principals: a known principal
     settles most pairs (a, b) outright, and the rest of one b go to one
@@ -747,19 +744,17 @@ def all_congruences(alg, budget=DEFAULT_BUDGET):
     the lattice from the principals that are not the join of the principals
     strictly below them, found from one generating pair per principal: L
     congruences from J join-irreducibles take fewer than J * L row joins.
-    Least-member rows sort as their labels do, so they are sorted as
-    big-endian bytes, then become Partitions a chunk at a time, each chunk
-    freed when done. BudgetExceeded when the principals or the lattice do
-    not fit in budget."""
-    k = alg.size
-    if k == 0:
-        return (Partition(0, ()),)
+    BudgetExceeded when the principals or the lattice do not fit in
+    budget."""
+    if alg.size == 0:
+        return np.empty((1, 0), dtype=np.uint8)
     reps, pairs, _ = _principals(alg, budget)
     rows = _join_rows(reps[_join_irreducibles(reps, pairs)], budget)
-    order = np.argsort(rows.astype(rows.dtype.newbyteorder(">")).view(
-        np.dtype((np.void, rows[0].nbytes))).ravel())
-    chunks, out = [rows[lo] for lo in _chunks(order, k)][::-1], []
-    del rows
-    while chunks:
-        out.extend(Partition(k, tuple(lab)) for lab in _labels(chunks.pop()).tolist())
-    return tuple(out)
+    return rows[np.argsort(rows.astype(rows.dtype.newbyteorder(">")).view(
+        np.dtype((np.void, rows[0].nbytes))).ravel())]
+
+
+def all_congruences(alg, budget=DEFAULT_BUDGET):
+    """Every congruence of alg, sorted by labels: the Partitions of
+    _congruence_rows."""
+    return _partitions(_congruence_rows(alg, budget))

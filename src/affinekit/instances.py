@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_BUDGET, FiniteAlgebra, _chunks, _least_members, _partition,
-                   all_congruences)
+from .core import DEFAULT_BUDGET, FiniteAlgebra, _chunks, _congruence_rows, _partitions
 from .errors import UnknownSymbol
 from .free import ground_space
 from .galois import _c_rows, _v_masks
@@ -107,17 +106,14 @@ class StoneReport:
 
 
 def _lattice(space, budget):
-    """The congruences of the free algebra, their least-member rows, their
-    distinct V masks, the index of each one's mask, and the radical C(V) of
-    each mask as a least-member row."""
-    congruences = all_congruences(space.free.as_algebra(), budget)
+    """The congruences of the free algebra as the least-member rows of
+    _congruence_rows, in all_congruences' order; their distinct V masks; the
+    index of each one's mask; and the radical C(V) of each mask as a
+    least-member row."""
+    rows = _congruence_rows(space.free.as_algebra(), budget)
     space.require_ok()
-    k = space.free.size
-    rows = np.concatenate([
-        _least_members([p.labels for p in chunk]).astype(np.min_scalar_type(k - 1))
-        for chunk in _chunks(congruences, k)]).reshape(len(congruences), k)
     masks, inv = np.unique(_v_masks(space, rows), axis=0, return_inverse=True)
-    return congruences, rows, masks, inv, _c_rows(space, masks)
+    return rows, masks, inv, _c_rows(space, masks)
 
 
 def stone_demo(arity, budget=DEFAULT_BUDGET, generator=None, seed=2026):
@@ -131,8 +127,8 @@ def stone_demo(arity, budget=DEFAULT_BUDGET, generator=None, seed=2026):
     one that is not closed."""
     alg = generator if generator is not None else _bool2()
     space = ground_space(alg, alg, arity, budget)
-    congruences, rows, masks, inv, radicals = _lattice(space, budget)
-    npts, count = space.npoints, len(congruences)
+    rows, masks, inv, radicals = _lattice(space, budget)
+    npts, count = space.npoints, len(rows)
     subset_count = 2 ** npts
     rng = random.Random(seed)
     if subset_count <= 2 ** 16:
@@ -192,11 +188,11 @@ def classify_fixed(generator, ground, arity, budget=DEFAULT_BUDGET):
     under the closure pass over the given ground: whether its radical C(V),
     computed once per distinct V mask by the array sweeps, equals it."""
     space = ground_space(generator, ground, arity, budget)
-    congruences, rows, _, inv, radicals = _lattice(space, budget)
+    rows, _, inv, radicals = _lattice(space, budget)
     fixed = (radicals[inv] == rows).all(axis=1).tolist()
-    rad = [_partition(rep) for rep in radicals]
+    rad = _partitions(radicals)
     entries = tuple(ClassifiedCongruence(partition=th, fixed=f, radical=rad[i])
-                    for th, f, i in zip(congruences, fixed, inv.tolist()))
+                    for th, f, i in zip(_partitions(rows), fixed, inv.tolist()))
     return ClassifyReport(
         arity=arity,
         total=len(entries),

@@ -147,10 +147,22 @@ def brute_congruences(ops, k):
     return frozenset(p for p in all_partitions(k) if respects_ops(p, ops, k))
 
 
-def _normalize(labels):
+def normalize(labels):
     """Renumber blocks by first appearance."""
     seen = {}
     return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
+
+
+def is_normalized(labels):
+    """Are the labels numbered by first appearance? The per-label check:
+    each label is one seen before or the next unused one, from 0 up."""
+    nxt = 0
+    for lab in labels:
+        if lab > nxt or lab < 0:
+            return False
+        if lab == nxt:
+            nxt += 1
+    return True
 
 
 def _merge(labels, a, b):
@@ -185,7 +197,7 @@ def least_congruence(ops, k, pairs):
                 star = tuple(least[labels[x]] for x in s)
                 if _merge(labels, table[encode(s, k)], table[encode(star, k)]):
                     changed = True
-    return _normalize(labels)
+    return normalize(labels)
 
 
 def principal_congruences(ops, k):
@@ -201,7 +213,7 @@ def join_closure(parts, k):
         first = {}
         for i, lab in enumerate(q):
             _merge(labels, first.setdefault(lab, i), i)
-        return _normalize(labels)
+        return normalize(labels)
 
     lattice = {tuple(range(k))} | set(parts)
     while True:
@@ -517,7 +529,7 @@ def closure_labels(size, pairs):
     labels = list(range(size))
     for a, b in pairs:
         _merge(labels, a, b)
-    return _normalize(labels)
+    return normalize(labels)
 
 
 def join_irreducibles(reps):

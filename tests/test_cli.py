@@ -510,6 +510,25 @@ def test_lattice_and_adjunction_paths_load_no_numpy_ma():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--builtin", "z4", "--arity", "3", "--json"],
+    ["zariski", "--builtin", "semilat2", "--arity", "4"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # both outputs outgrow a pipe's buffer, so the writer meets the closed end
+    src = os.path.dirname(os.path.dirname(affinekit.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affinekit.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 # --- the --json encoder -------------------------------------------------------
 
 CHARS = st.one_of(

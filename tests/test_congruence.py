@@ -15,6 +15,7 @@ against the brute-force oracles.
 
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,11 +27,12 @@ from affinekit import core
 from affinekit.core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
+    _congruence_rows,
     _join_irreducibles,
     _join_rows,
     _labels,
     _least_members,
-    _partition,
+    _partitions,
     _principals,
     _unary_translations,
     all_congruences,
@@ -84,6 +86,42 @@ def test_all_congruences_budget_is_the_lattice_size(name):
         all_congruences(alg, budget=count - 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partitions_of_least_member_rows_match_from_labels(data):
+    k = data.draw(st.integers(1, 7))
+    drawn = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=k, max_size=k),
+                               max_size=6))
+    dtype = data.draw(st.sampled_from([np.uint8, np.int32, np.int64]))
+    rows = _least_members(drawn).reshape(len(drawn), k).astype(dtype)
+    want = tuple(core.Partition.from_labels(row) for row in rows.tolist())
+    for chunk in (1, core._CHUNK):
+        with mock.patch.object(core, "_CHUNK", chunk):
+            assert _partitions(rows) == want
+
+
+def test_congruence_rows_of_an_empty_free_algebra():
+    alg = free("semilat2", 0)
+    assert alg.size == 0 and _congruence_rows(alg, DEFAULT_BUDGET).shape == (1, 0)
+    assert all_congruences(alg) == (core.Partition(0, ()),)
+
+
+def test_join_rows_pins_no_chunk_arrays():
+    # a kept row that is a view of its chunk's array keeps all of that
+    # array alive: F_z4(4)'s 1983 rows of 256 bytes then peaked at about
+    # 40 MB traced, against about 10 MB with the rows rebuilt from bytes
+    reps, pairs, _ = _principals(free("z4", 4), DEFAULT_BUDGET)
+    gens = reps[_join_irreducibles(reps, pairs)]
+    tracemalloc.start()
+    try:
+        rows = _join_rows(gens, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1983, 256)
+    assert peak < 20 * 10 ** 6
+
+
 def test_join_irreducibles_of_known_lattices():
     # Con(F_bool2(2)) is the Boolean lattice on 4 atoms and Con(z4) a
     # 3-element chain; the join-irreducibles among the non-identity
@@ -114,7 +152,8 @@ def principal_table(alg, principals):
     output."""
     k = alg.size
     reps, _, of_pair = principals
-    return {(a, b): _partition(reps[of_pair[a * k + b]]).labels
+    parts = _partitions(reps)
+    return {(a, b): parts[of_pair[a * k + b]].labels
             for b in range(k) for a in range(b)}
 
 

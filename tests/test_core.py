@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from affinekit.core import (
     App,
@@ -221,6 +223,22 @@ def test_partition_basics():
     with pytest.raises(ValidationError):
         Partition(3, (0, 2, 1))  # not normalized
     assert Partition.total(0) == Partition.identity(0)
+
+
+@given(st.lists(st.integers(-2, 6), max_size=8), st.permutations(range(8)))
+@example([1, 0], range(8))
+@example([0, 2, 1], range(8))
+def test_partition_validation_matches_per_label_oracle(labels, perm):
+    # negatives and gaps come from the raw draw; its renumbering is always
+    # valid, and renaming the renumbered blocks may break the order
+    want = oracles.normalize(labels)
+    assert oracles.is_normalized(want) and Partition.from_labels(labels).labels == want
+    for labs in (tuple(labels), want, tuple(perm[lab] for lab in want)):
+        if oracles.is_normalized(labs):
+            assert Partition(len(labs), labs).labels == labs
+        else:
+            with pytest.raises(ValidationError):
+                Partition(len(labs), labs)
 
 
 def test_is_congruence():

@@ -11,7 +11,7 @@ from affinekit.core import (
     Homomorphism,
     Partition,
     _least_members,
-    _partition,
+    _partitions,
     all_congruences,
     decode_point,
     is_homomorphism,
@@ -437,15 +437,15 @@ def check_sweeps(gs, masks=()):
     v = _v_masks(gs, rows)
     radicals = _c_rows(gs, v)
     ev = gs.ev.tolist()
-    for th, mask, rad in zip(congruences, v, radicals):
+    for th, mask, rad in zip(congruences, v, _partitions(radicals)):
         pts = tuple(np.flatnonzero(mask).tolist())
         glued = [(p, q) for p in range(th.size) for q in range(p) if th.labels[p] == th.labels[q]]
         assert pts == oracles.brute_v(ev, gs.npoints, glued) == v_of_partition(gs, th).points
-        assert _partition(rad) == radical_of_partition(gs, th)
+        assert rad == radical_of_partition(gs, th)
     masks = np.array(masks, dtype=bool).reshape(len(masks), gs.npoints)
-    for mask, rep in zip(masks, _c_rows(gs, masks) if len(masks) else ()):
+    for mask, part in zip(masks, _partitions(_c_rows(gs, masks)) if len(masks) else ()):
         subset = AffineSubset.of(gs, np.flatnonzero(mask))
-        assert _partition(rep) == c_operator(subset)
+        assert part == c_operator(subset)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
