@@ -15,11 +15,19 @@ tuple.
 
 Every arrow, a hom set or a single one, comes from one sweep. Witness
 tuples are the columns of an (m, W) table, big-endian over element indices.
-The point side keeps the columns whose graph lies inside S. The relation
-side narrows the live columns by the carried mask of each pair of R in
-turn, so a tuple drops out at its first pair sent outside R' and the
-diagonal, and reads the class maps off the survivors. The arrows are the
-first witness of each distinct graph or class map, in witness order.
+A hom set's arrows depend on the tuple only up to a congruence psi of
+F(n): C(S') on the point side, and on the relation side the largest
+congruence inside "same row and same column of R' and the diagonal". So a
+hom set takes only the tuples of least psi-class members; the lex-least
+tuple realizing an arrow is one of them, so the arrows, their witnesses
+and their order stay those of all tuples. The point side keeps the
+columns whose graph lies inside S. The relation side keeps the columns
+whose R'-closure classes are constant on R's closure classes; when R' and
+the diagonal make an equivalence, those carry R, and otherwise the pairs
+of R narrow them in turn, so a tuple drops out at its first pair sent
+outside R' and the diagonal. The class maps are read off the survivors.
+The arrows are the first witness of each distinct graph or class map, in
+witness order.
 verify_adjunction checks the sampled naturality squares of one companion
 object together: one side composes witnesses in the clone and evaluates
 them at the points, the other composes graphs.
@@ -29,11 +37,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Partition, _digits, _encode, _representatives
+from .core import (
+    DEFAULT_BUDGET,
+    Partition,
+    _apply_all,
+    _digits,
+    _encode,
+    _least_members,
+    _representatives,
+)
 from .errors import (
     AssertionFailure,
     BijectionFailure,
@@ -43,14 +58,14 @@ from .errors import (
     ValidationError,
 )
 from .free import _replay, free_algebra, ground_space, substitute
-from .galois import AffineSubset, Relation, c_operator, v_operator
-
-
-@lru_cache(maxsize=128)
-def rel_closure(rel):
-    """The equivalence closure of a relation, as a partition of the free
-    algebra's elements."""
-    return Partition.from_pairs(rel.space.free.size, rel.pairs)
+from .galois import (
+    AffineSubset,
+    Relation,
+    _is_equivalence,
+    c_operator,
+    rel_closure,
+    v_operator,
+)
 
 
 def _same_context(sa, sb):
@@ -116,12 +131,17 @@ def r_identity(rel):
 # the witness sweep
 
 
-def _witness_columns(free, m, budget):
-    """Every m-tuple of elements of free, as the columns of an (m, W) table
-    in big-endian order over element indices."""
+def _witness_columns(free, reps, m, budget):
+    """The m-tuples of reps, the least members of the classes of a
+    congruence psi of free up to which the witnesses give the same arrows,
+    as the columns of an (m, W) table in big-endian order. Replacing each
+    entry of a tuple by its least member gives a tuple no later in that
+    order with the same arrow, so the first witness of every arrow, and the
+    order of the arrows, are those of all m-tuples of elements. budget caps
+    those |free|^m tuples, counted before the shrink."""
     if free.size ** m > budget:
         raise BudgetExceeded(f"{free.size ** m} witness tuples exceed budget {budget}")
-    return _digits((free.size,) * m)
+    return reps[_digits((len(reps),) * m)]
 
 
 def _point_images(space, points, columns):
@@ -139,17 +159,50 @@ def _related(rel):
     return related
 
 
+def _stable_classes(rel):
+    """Labels of psi, the largest congruence of F(n) inside "same row and
+    same column of rel together with the diagonal" (the closure's classes
+    when that is an equivalence). Those classes are refined under the basic
+    translations p -> f(c1, .., p, .., cr), read off the operation tables,
+    until no class splits: until the labels of f(a1, .., ar) and of f at
+    the least members of the ai agree for every operation f. Generator
+    images equal up to psi give homomorphisms equal up to psi, which carry
+    the same pairs into rel and give the same class map."""
+    falg, k = rel.space.free.as_algebra(), rel.space.free.size
+    if _is_equivalence(rel):
+        labels = np.asarray(rel_closure(rel).labels, dtype=np.int64)
+    else:
+        related = _related(rel)
+        keys = np.concatenate([related, related.T], axis=1)
+        labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(k)
+    tables = [(falg.np_table(sym), r) for sym, r in falg.signature.symbols if r]
+    while True:
+        rep = _least_members(labels)
+        images = [labels[t] for t, _ in tables]
+        if all((im == labels[_apply_all(t, rep, r)]).all() for (t, r), im in zip(tables, images)):
+            return labels
+        keys = np.concatenate([labels[:, None], *(
+            np.moveaxis(im, pos, 0).reshape(k, k ** (r - 1))
+            for (_, r), im in zip(tables, images) for pos in range(r))], axis=1)
+        labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(k)
+
+
+def _first_rows(rows):
+    """The index of the first of each distinct row of a 2-D array, in
+    increasing order."""
+    rows = np.ascontiguousarray(rows)
+    if len(rows) > 1 and rows.shape[1]:
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        return np.sort(np.unique(keys, return_index=True)[1])
+    return np.arange(min(len(rows), 1))  # at most one row, or every row is the empty row
+
+
 def _first_witnesses(columns, images):
     """(witness, image row) for the first column of columns that realizes
     each distinct row of images (row j belongs to column j), in column
     order, both as tuples of Python ints."""
-    rows = np.ascontiguousarray(images)
-    if len(rows) > 1 and rows.shape[1]:
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        first = np.sort(np.unique(keys, return_index=True)[1])
-    else:  # at most one row, or every row is the empty row
-        first = np.arange(min(len(rows), 1))
-    return zip(map(tuple, columns[:, first].T.tolist()), map(tuple, rows[first].tolist()))
+    first = _first_rows(images)
+    return zip(map(tuple, columns[:, first].T.tolist()), map(tuple, images[first].tolist()))
 
 
 def _witness_table(witnesses, m):
@@ -187,24 +240,25 @@ def _carried(x, y, columns):
     """The indices of the witness columns whose homomorphism carries y into
     x, and the class map of each of them, one column per index. h(p), for
     every element p of y's free algebra (rows) and every witness column,
-    comes by clone composition."""
+    comes by clone composition. A column whose x-closure labels are not
+    constant on y's closure classes sends a pair of y outside x and the
+    diagonal. When x with the diagonal is an equivalence, the other columns
+    carry y; otherwise each pair of y is tested on them in turn."""
     h = _replay(y.space.free, x.space.free.as_algebra(), columns)
-    related = _related(x)
-    live = np.arange(h.shape[1])
-    for p, q in y.pairs:
-        live = live[related[h[p, live], h[q, live]]]
-        if not live.size:
-            break
     xbar = rel_closure(x)
     ylabels = np.asarray(rel_closure(y).labels, dtype=np.int64)
     # x-closure classes of the images, in the least dtype that holds them:
     # the table spans every witness column
-    xlabels = np.asarray(xbar.labels, dtype=np.min_scalar_type(xbar.num_blocks))
-    labels = xlabels[h][:, live]
+    labels = np.asarray(xbar.labels, dtype=np.min_scalar_type(xbar.num_blocks))[h]
     class_maps = labels[_representatives(ylabels)]
-    if not (labels == class_maps[ylabels]).all():
-        raise AssertionFailure("carried relation gave an ill-defined class map")
-    return live, class_maps
+    live = np.flatnonzero((labels == class_maps[ylabels]).all(axis=0))
+    if not _is_equivalence(x):
+        related = _related(x)
+        for p, q in y.pairs:
+            if not live.size:
+                break
+            live = live[related[h[p, live], h[q, live]]]
+    return live, class_maps[:, live]
 
 
 def _r_arrows(x, y, columns):
@@ -218,20 +272,25 @@ def _r_arrows(x, y, columns):
 
 def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
     """All definable maps src -> dst, canonical order: first witness tuple
-    (big-endian over free-algebra indices) that realizes each graph."""
+    (big-endian over free-algebra indices) that realizes each graph. A
+    graph depends on the witness up to C(src), so the tuples are of its
+    least class members."""
     if not _same_context(src.space, dst.space):
         raise ValidationError("arrows need a common ground and generator")
     src.space.require_ok(src.points)
-    columns = _witness_columns(src.space.free, dst.space.arity, budget)
+    reps = _first_rows(src.space.ev[:, list(src.points)])  # least members of C(src)
+    columns = _witness_columns(src.space.free, reps, dst.space.arity, budget)
     return tuple(_d_arrows(src, dst, columns))
 
 
 def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
     """All relation arrows x -> y, canonical order: first generator-image
-    tuple that realizes each factorized map."""
+    tuple that realizes each factorized map. The tuples are of least class
+    members of x's _stable_classes."""
     if not _same_context(x.space, y.space):
         raise ValidationError("arrows need a common ground and generator")
-    return tuple(_r_arrows(x, y, _witness_columns(x.space.free, y.space.arity, budget)))
+    reps = _representatives(_stable_classes(x))
+    return tuple(_r_arrows(x, y, _witness_columns(x.space.free, reps, y.space.arity, budget)))
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +395,7 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     if y.space.free.size:
         targets.append(Relation.from_partition(y.space, Partition.total(y.space.free.size)))
     for y1 in dict.fromkeys(targets):
-        vy1 = vq_object(y1)
+        vy1 = vy if y1 == y else vq_object(y1)
         gs = hom_set_rq(y, y1, budget)
         gi, ai = sample(gs)
         gcols = _witness_table([gs[i].witness for i in gi], y.space.arity)

@@ -24,7 +24,6 @@ from .core import (
     DEFAULT_BUDGET,
     App,
     FiniteAlgebra,
-    Partition,
     Var,
     _digits,
     decode_point,
@@ -48,6 +47,7 @@ from .galois import (
     c_operator,
     nullstellensatz_check,
     radical_of_partition,
+    rel_closure,
     v_operator,
     zariski_closure,
     zariski_report,
@@ -360,7 +360,7 @@ def _cmd_closure(args):
 def _cmd_radical(args):
     space = _space(args)
     rel = parse_relation(space, args.pairs, args.equations)
-    plain = Partition.from_pairs(space.free.size, rel.pairs)
+    plain = rel_closure(rel)
     rad = radical_of_partition(space, plain)
     blocks, terms = _blocks_payload(space, rad)
     payload = {"pairs": [list(p) for p in rel.pairs],

@@ -11,6 +11,9 @@ tests stay independent of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import starmap
+from operator import ne
 
 import numpy as np
 
@@ -113,6 +116,21 @@ class Relation:
         return cls(space, ())
 
 
+@lru_cache(maxsize=128)
+def rel_closure(rel):
+    """The equivalence closure of a relation, as a partition of the free
+    algebra's elements."""
+    return Partition.from_pairs(rel.space.free.size, rel.pairs)
+
+
+def _is_equivalence(rel):
+    """Whether rel together with the diagonal is an equivalence. It lies
+    inside its closure, so it is one when its off-diagonal pairs are as many
+    as the closure's, the sum of |B|(|B| - 1) over the closure's blocks B."""
+    sizes = np.bincount(np.asarray(rel_closure(rel).labels, dtype=np.int64))
+    return sum(starmap(ne, rel.pairs)) == int((sizes * (sizes - 1)).sum())
+
+
 @dataclass(frozen=True)
 class PresentedAlgebra:
     """The free algebra modulo a congruence."""
@@ -155,8 +173,7 @@ def v_operator(rel):
     """Points where every pair of the relation evaluates equally: V of its
     equivalence closure, since evaluating equally is an equivalence. The
     empty relation gives the whole space."""
-    space = rel.space
-    return v_of_partition(space, Partition.from_pairs(space.free.size, rel.pairs))
+    return v_of_partition(rel.space, rel_closure(rel))
 
 
 def v_of_partition(space, part):
@@ -222,8 +239,7 @@ def radical(rel):
     """The radical of a relation: the congruence of all pairs that evaluate
     equally on V(rel). V(rel) is V of rel's equivalence closure, since
     evaluating equally is an equivalence."""
-    space = rel.space
-    return radical_of_partition(space, Partition.from_pairs(space.free.size, rel.pairs))
+    return radical_of_partition(rel.space, rel_closure(rel))
 
 
 # --------------------------------------------------------------------------

@@ -524,6 +524,52 @@ def graph_closure_ground(free, ground):
     return ev, point_ok
 
 
+def ground_fixpoint(free, ground):
+    """Evaluation of a package free algebra over a ground algebra, one point
+    at a time. At a point a, values[p] is the set of values of element p in
+    the subalgebra of F x A generated by the pairs (x_i, a_i): a fixpoint
+    over the elements, which adds g(v_1, .., v_r) to the values of
+    f(p_1, .., p_r) for every operation, every operand tuple of elements
+    and every choice of their values until nothing grows. Evaluation at a
+    is well defined exactly when every element has one value there. ev[p]
+    is p's witness term evaluated at each point, a value of values[p].
+    Returns (ev, point_ok) as lists. Cheaper than graph_closure_ground
+    when elements pick up many rows, dearer on a large free algebra."""
+    falg = free.as_algebra()
+    arity, size, ka = free.arity, free.size, ground.size
+    symbols = ground.signature.symbols
+    ev = [[None] * ka ** arity for _ in range(size)]
+    point_ok = []
+    for a in range(ka ** arity):
+        point = [(a // ka ** (arity - 1 - i)) % ka for i in range(arity)]
+        values = [set() for _ in range(size)]
+        for i in range(arity):
+            values[free.var(i)].add(point[i])
+        grew = True
+        while grew:
+            grew = False
+            for sym, r in symbols:
+                gtab, ftab = ground.table(sym), falg.table(sym)
+                for idx, args in enumerate(product(range(size), repeat=r)):
+                    got = values[ftab[idx]]
+                    for vals in product(*(values[p] for p in args)):
+                        v = gtab[encode(vals, ka)]
+                        if v not in got:
+                            got.add(v)
+                            grew = True
+
+        def evaluate(term):
+            if not hasattr(term, "symbol"):  # a variable
+                return point[term.index]
+            return ground.op(term.symbol, tuple(evaluate(t) for t in term.args))
+
+        for p in range(size):
+            ev[p][a] = evaluate(free.elements[p].witness)
+            assert ev[p][a] in values[p]
+        point_ok.append(all(len(v) == 1 for v in values))
+    return ev, point_ok
+
+
 def closure_labels(size, pairs):
     """Normalized labels of the equivalence closure of pairs on range(size)."""
     labels = list(range(size))
@@ -549,6 +595,21 @@ def join_irreducibles(reps):
         if not np.array_equal(join, rep):
             out.append(rep)
     return out
+
+
+def stable_classes(congruences, size, pairs):
+    """The coarsest of congruences (label tuples) that puts together only
+    elements with the same row and the same column of pairs together with
+    the diagonal; it is checked to hold every other such congruence."""
+    rel = set(pairs) | {(a, a) for a in range(size)}
+    row = [{b for b in range(size) if (a, b) in rel} for a in range(size)]
+    col = [{b for b in range(size) if (b, a) in rel} for a in range(size)]
+    inside = [c for c in congruences
+              if all(row[a] == row[b] and col[a] == col[b]
+                     for a in range(size) for b in range(size) if c[a] == c[b])]
+    best = min(inside, key=lambda c: len(set(c)))
+    assert all(refines(c, best) for c in inside)
+    return normalize(best)
 
 
 def point_arrows(ev_rows, k, src_points, dst_points, witnesses):

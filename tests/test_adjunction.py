@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import astuple
 from itertools import product
 
@@ -23,7 +24,13 @@ from affinekit.adjunction import (
     vq_arrow,
     vq_object,
 )
-from affinekit.core import DEFAULT_BUDGET, Partition, all_congruences, quotient_algebra
+from affinekit.core import (
+    DEFAULT_BUDGET,
+    FiniteAlgebra,
+    Partition,
+    all_congruences,
+    quotient_algebra,
+)
 from affinekit.errors import (
     AffineError,
     BijectionFailure,
@@ -239,10 +246,11 @@ def random_points(rng, points):
 
 
 def random_relation(rng, space):
-    """Empty, total, a kernel C(S), or a few arbitrary pairs (mostly not an
+    """Empty, total, a kernel C(S), a random partition (an equivalence,
+    mostly not a congruence), or a few arbitrary pairs (mostly not an
     equivalence)."""
     size = space.free.size
-    kind = rng.choice(["empty", "total", "kernel", "kernel", "pairs", "pairs"])
+    kind = rng.choice(["empty", "total", "kernel", "kernel", "pairs", "pairs", "partition"])
     if not size or kind == "empty":
         return Relation.identity(space)
     if kind == "total":
@@ -250,6 +258,10 @@ def random_relation(rng, space):
     if kind == "kernel":
         ok = [a for a in range(space.npoints) if space.point_ok[a]]
         return cq_object(AffineSubset.of(space, random_points(rng, ok)))
+    if kind == "partition":
+        blocks = rng.randint(1, size)
+        labels = [rng.randrange(blocks) for _ in range(size)]
+        return Relation.from_partition(space, Partition.from_labels(labels))
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 4))]
     return Relation.of(space, pairs)
 
@@ -275,6 +287,7 @@ def arrow_cases(draw):
 @example((semilat2(), semilat2(), 0, 0), random.Random(0))  # one empty witness
 @example((semilat2(), semilat2(), 1, 0), random.Random(1))  # F(m) is empty
 @example((bool2(), bool2(), 1, 2), random.Random(2))
+@example((bool2(), bool2(), 1, 1), random.Random(35))  # x's classes split once
 def test_sweep_matches_per_tuple_oracle_on_random_algebras(case, rng):
     g, ground, n, m = case
     sn, sm = ground_space(g, ground, n), ground_space(g, ground, m)
@@ -311,6 +324,40 @@ def test_sweep_matches_per_tuple_oracle_on_random_algebras(case, rng):
         for r in rs:
             d = vq_arrow(r)
             assert [(d.witness, d.images)] == point_arrows(vx, vy, [r.witness])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators(), st.randoms(use_true_random=False))
+@example((bool2(), 1), random.Random(0))  # a partition that one pass splits
+@example((FiniteAlgebra.make(3, [("f0", 1, (1, 2, 2)),  # one that two passes split
+                                 ("f1", 2, (0, 0, 2, 0, 1, 1, 0, 1, 2))], name="G"), 1),
+         random.Random(0))
+def test_stable_classes_match_coarsest_congruence_oracle_on_random_algebras(case, rng):
+    g, n = case
+    space = ground_space(g, g, n)
+    x = random_relation(rng, space)
+    congruences = [c.labels for c in all_congruences(space.free.as_algebra())]
+    want = oracles.stable_classes(congruences, space.free.size, x.pairs)
+    assert oracles.normalize(adjunction._stable_classes(x).tolist()) == want
+
+
+def test_z4_adjunction_enumerates_quotient_classes():
+    # z4 over z4, n = 2, S = {0, 5}, y the 8-block congruence of F_z4(3)
+    # with the least labels: each naturality hom set hom(y, y1) takes the
+    # 8**3 tuples of least class members, not all 64**3 witness tuples,
+    # whose homomorphism table alone would take 134 MB
+    s2, s3 = ground_space(z4(), z4(), 2), ground_space(z4(), z4(), 3)
+    eight = [c for c in all_congruences(s3.free.as_algebra()) if c.num_blocks == 8]
+    subset = AffineSubset.of(s2, [0, 5])
+    y = Relation.from_partition(s3, min(eight, key=lambda c: c.labels))
+    tracemalloc.start()
+    try:
+        report = verify_adjunction(subset, y)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert astuple(report) == (8, 8, True, True)
+    assert peak < 10
 
 
 # --- functors ---------------------------------------------------------------

@@ -339,8 +339,8 @@ def test_bfs_cell_codes_wider_than_values():
     assert_matches_full_rounds(f)
 
 
-# The graph-closure oracle alone takes seconds on some draws (the pinned one
-# closes 27 elements times 27 rows pairwise), so this property has no deadline.
+# The fixpoint oracle runs in plain Python over every operand tuple of up
+# to 27 elements, so this property has no deadline.
 @settings(PROPERTY_SETTINGS, deadline=None)
 @given(ground_cases())
 @example((
@@ -354,7 +354,7 @@ def test_bfs_cell_codes_wider_than_values():
 def test_ground_evaluation_matches_graph_closure_on_random_algebras(case):
     g, n, ground, in_variety = case
     gs = ground_space(g, ground, n)
-    ev, point_ok = oracles.graph_closure_ground(gs.free, ground)
+    ev, point_ok = oracles.ground_fixpoint(gs.free, ground)
     assert gs.ev.tolist() == ev
     assert gs.point_ok.tolist() == point_ok
     if in_variety:
