@@ -30,7 +30,10 @@ The arrows are the first witness of each distinct graph or class map, in
 witness order.
 verify_adjunction checks the sampled naturality squares of one companion
 object together: one side composes witnesses in the clone and evaluates
-them at the points, the other composes graphs.
+them at the points, the other composes graphs. A clone composite is one
+gather from a homomorphism table the call built anyway: the lhs sweep's
+for the target companions, which share y's one witness sweep, and the
+carried check's for the source companions.
 """
 
 from __future__ import annotations
@@ -68,8 +71,9 @@ from .galois import (
 )
 
 
-def _same_context(sa, sb):
-    return sa.ground == sb.ground and sa.free.generator == sb.free.generator
+def _require_context(sa, sb, message="arrows need a common ground and generator"):
+    if sa.ground != sb.ground or sa.free.generator != sb.free.generator:
+        raise ValidationError(message)
 
 
 def _composite_witness(first, second):
@@ -134,11 +138,10 @@ def r_identity(rel):
 def _witness_columns(free, reps, m, budget):
     """The m-tuples of reps, the least members of the classes of a
     congruence psi of free up to which the witnesses give the same arrows,
-    as the columns of an (m, W) table in big-endian order. Replacing each
-    entry of a tuple by its least member gives a tuple no later in that
-    order with the same arrow, so the first witness of every arrow, and the
-    order of the arrows, are those of all m-tuples of elements. budget caps
-    those |free|^m tuples, counted before the shrink."""
+    as the columns of an (m, W) table in big-endian order. Least members in
+    place of a tuple's entries give a tuple no later with the same arrow, so
+    the arrows and their first witnesses are those of all m-tuples. budget
+    caps those |free|^m tuples, counted before the shrink."""
     if free.size ** m > budget:
         raise BudgetExceeded(f"{free.size ** m} witness tuples exceed budget {budget}")
     return reps[_digits((len(reps),) * m)]
@@ -197,17 +200,12 @@ def _first_rows(rows):
     return np.arange(min(len(rows), 1))  # at most one row, or every row is the empty row
 
 
-def _first_witnesses(columns, images):
-    """(witness, image row) for the first column of columns that realizes
-    each distinct row of images (row j belongs to column j), in column
-    order, both as tuples of Python ints."""
-    first = _first_rows(images)
-    return zip(map(tuple, columns[:, first].T.tolist()), map(tuple, images[first].tolist()))
-
-
-def _witness_table(witnesses, m):
-    """Generator-image m-tuples as the columns of an (m, W) table."""
-    return np.array(witnesses, dtype=np.int64).reshape(len(witnesses), m).T
+def _arrows(cls, src, dst, columns, found):
+    """Arrows src -> dst from the witness columns and the (column index,
+    graph or class map) pairs of _graphs or _class_maps."""
+    at, rows = found
+    witnesses = columns[:, at].T.tolist()
+    return tuple(cls(src, dst, tuple(r), tuple(w)) for r, w in zip(rows.tolist(), witnesses))
 
 
 def _inside(dst, images):
@@ -226,33 +224,38 @@ def _images_inside(src, dst, columns, error):
     return images
 
 
-def _d_arrows(src, dst, columns):
-    """The definable maps src -> dst that the witness columns induce."""
+def _graphs(src, dst, columns):
+    """The index of the first witness column that induces each definable map
+    src -> dst, and the map's graph, one row each, in column order."""
     images = _point_images(src.space, src.points, columns)
-    inside = _inside(dst, images)
-    return [
-        DArrowClass(src, dst, row, w)
-        for w, row in _first_witnesses(columns[:, inside], images[inside])
-    ]
+    inside = np.flatnonzero(_inside(dst, images))
+    first = inside[_first_rows(images[inside])]
+    return first, images[first]
 
 
-def _carried(x, y, columns):
-    """The indices of the witness columns whose homomorphism carries y into
-    x, and the class map of each of them, one column per index. h(p), for
-    every element p of y's free algebra (rows) and every witness column,
-    comes by clone composition. A column whose x-closure labels are not
-    constant on y's closure classes sends a pair of y outside x and the
+def _homs(free, classes, space, budget):
+    """Witness columns over the least members of classes, the labels of psi,
+    for arrows into a relation on space; and h[p, j], column j's image of p."""
+    columns = _witness_columns(free, _representatives(classes), space.arity, budget)
+    return columns, _replay(space.free, free.as_algebra(), columns)
+
+
+def _carried(x, y, h):
+    """The indices of the columns of h (h[p, j]: column j's image of element
+    p of y's free algebra) whose homomorphism carries y into x, and their
+    class maps, one column per index. A column whose x-closure labels are
+    not constant on y's closure classes sends a pair of y outside x and the
     diagonal. When x with the diagonal is an equivalence, the other columns
-    carry y; otherwise each pair of y is tested on them in turn."""
-    h = _replay(y.space.free, x.space.free.as_algebra(), columns)
-    xbar = rel_closure(x)
-    ylabels = np.asarray(rel_closure(y).labels, dtype=np.int64)
+    carry y; otherwise each pair of y is tested on them in turn. A Partition
+    stands for the relation "same block", as C(S) does in verify_adjunction."""
+    xbar, ybar = (r if isinstance(r, Partition) else rel_closure(r) for r in (x, y))
+    ylabels = np.asarray(ybar.labels, dtype=np.int64)
     # x-closure classes of the images, in the least dtype that holds them:
     # the table spans every witness column
     labels = np.asarray(xbar.labels, dtype=np.min_scalar_type(xbar.num_blocks))[h]
     class_maps = labels[_representatives(ylabels)]
     live = np.flatnonzero((labels == class_maps[ylabels]).all(axis=0))
-    if not _is_equivalence(x):
+    if isinstance(x, Relation) and not _is_equivalence(x):
         related = _related(x)
         for p, q in y.pairs:
             if not live.size:
@@ -261,13 +264,21 @@ def _carried(x, y, columns):
     return live, class_maps[:, live]
 
 
-def _r_arrows(x, y, columns):
-    """The relation arrows x -> y that the witness columns induce."""
-    live, class_maps = _carried(x, y, columns)
-    return [
-        RArrowClass(x, y, class_map, w)
-        for w, class_map in _first_witnesses(columns[:, live], class_maps.T)
-    ]
+def _class_maps(x, y, h):
+    """The index of the first column of h that induces each relation arrow
+    x -> y, and the arrow's class map, one row each, in column order."""
+    live, class_maps = _carried(x, y, h)
+    first = _first_rows(class_maps.T)
+    return live[first], class_maps.T[first]
+
+
+def _definable(src, dst, budget):
+    """The witness columns of hom_set_dq(src, dst) and their _graphs."""
+    _require_context(src.space, dst.space)
+    src.space.require_ok(src.points)
+    reps = _first_rows(src.space.ev[:, list(src.points)])  # least members of C(src)
+    columns = _witness_columns(src.space.free, reps, dst.space.arity, budget)
+    return columns, _graphs(src, dst, columns)
 
 
 def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
@@ -275,22 +286,16 @@ def hom_set_dq(src, dst, budget=DEFAULT_BUDGET):
     (big-endian over free-algebra indices) that realizes each graph. A
     graph depends on the witness up to C(src), so the tuples are of its
     least class members."""
-    if not _same_context(src.space, dst.space):
-        raise ValidationError("arrows need a common ground and generator")
-    src.space.require_ok(src.points)
-    reps = _first_rows(src.space.ev[:, list(src.points)])  # least members of C(src)
-    columns = _witness_columns(src.space.free, reps, dst.space.arity, budget)
-    return tuple(_d_arrows(src, dst, columns))
+    return _arrows(DArrowClass, src, dst, *_definable(src, dst, budget))
 
 
 def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
     """All relation arrows x -> y, canonical order: first generator-image
     tuple that realizes each factorized map. The tuples are of least class
     members of x's _stable_classes."""
-    if not _same_context(x.space, y.space):
-        raise ValidationError("arrows need a common ground and generator")
-    reps = _representatives(_stable_classes(x))
-    return tuple(_r_arrows(x, y, _witness_columns(x.space.free, reps, y.space.arity, budget)))
+    _require_context(x.space, y.space)
+    columns, h = _homs(x.space.free, _stable_classes(x), y.space, budget)
+    return _arrows(RArrowClass, x, y, columns, _class_maps(x, y, h))
 
 
 # --------------------------------------------------------------------------
@@ -305,8 +310,10 @@ def cq_object(subset):
 def cq_arrow(d):
     """The relation arrow induced by a definable map (same witness, free
     algebras swapped)."""
+    x, y = cq_object(d.source), cq_object(d.target)
     column = np.array(d.witness, dtype=np.int64)[:, None]
-    arrows = _r_arrows(cq_object(d.source), cq_object(d.target), column)
+    h = _replay(y.space.free, x.space.free.as_algebra(), column)
+    arrows = _arrows(RArrowClass, x, y, column, _class_maps(x, y, h))
     if not arrows:
         raise AssertionFailure("definable map failed to carry the kernel relation")
     return arrows[0]
@@ -319,8 +326,9 @@ def vq_object(rel):
 
 def vq_arrow(r):
     """The definable map induced by a relation arrow (same witness)."""
+    src, dst = vq_object(r.source), vq_object(r.target)
     column = np.array(r.witness, dtype=np.int64)[:, None]
-    arrows = _d_arrows(vq_object(r.source), vq_object(r.target), column)
+    arrows = _arrows(DArrowClass, src, dst, column, _graphs(src, dst, column))
     if not arrows:
         raise AssertionFailure("induced map left the target point set")
     return arrows[0]
@@ -338,15 +346,9 @@ class AdjunctionReport:
     natural_ok: bool
 
 
-def _composites(firsts, which, seconds, fm, fn):
-    """Column c of seconds (in fm) with the witness of firsts[which[c]] (in
-    fn) substituted in, by one substitute call per distinct first arrow."""
-    out = np.empty(seconds.shape, dtype=np.int64)
-    # return_index: numpy's unique without index outputs imports numpy.ma
-    for i in np.unique(which, return_index=True)[0]:
-        at = which == i
-        out[:, at] = substitute(fm, seconds[:, at], firsts[i].witness, fn)
-    return out
+def _compose(h, inner):
+    """Each column of inner sent through the homomorphism of h's same column."""
+    return h[inner, np.arange(h.shape[1])]
 
 
 def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
@@ -355,57 +357,55 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     naturality squares in both coordinates, exhaustively up to 64 cases per
     companion and sampled beyond. A companion's squares are checked at once,
     each side by its own route: Phi of the composite through clone
-    composition, the other side through graphs."""
+    composition, read off the sweeps' own tables, the other side through
+    graphs. C^q S and the source companions enter as the partitions C(S')."""
     space, free = subset.space, subset.space.free
-    if not _same_context(space, y.space):
-        raise ValidationError("adjunction needs a common ground and generator")
-    x = cq_object(subset)
-    vy = vq_object(y)
-    lhs = hom_set_rq(x, y, budget)
-    rhs = hom_set_dq(subset, vy, budget)
+    _require_context(space, y.space, "adjunction needs a common ground and generator")
+    x, vy = c_operator(subset), vq_object(y)
+    columns, h = _homs(free, x.labels, y.space, budget)
+    at, _ = _class_maps(x, y, h)  # column of each arrow of the lhs
+    _, (_, rhs) = _definable(subset, vy, budget)
 
     # phi[j] is the graph of Phi(lhs[j]) over the points of S
-    alphas = _witness_table([a.witness for a in lhs], y.space.arity)
+    alphas = columns[:, at]
     escape = BijectionFailure("correspondence image left V(y)")
     phi = _images_inside(subset, vy, alphas, escape)
-    bijection_ok = sorted(map(tuple, phi.tolist())) == sorted(d.images for d in rhs)
+    bijection_ok = sorted(map(tuple, phi.tolist())) == sorted(map(tuple, rhs.tolist()))
 
     rng = random.Random(seed)
 
-    def sample(arrows):  # indices into arrows and into lhs of the sampled cases
-        n = len(arrows) * len(lhs)
+    def sample(count):  # indices of the sampled arrows and into lhs
+        n = count * len(at)
         picked = range(n) if n <= 64 else rng.sample(range(n), 64)
-        return np.divmod(np.array(picked, dtype=np.int64), max(len(lhs), 1))
+        return np.divmod(np.array(picked, dtype=np.int64), max(len(at), 1))
 
     natural_ok = True
     # vary the source: f: S0 -> S, compare Phi(alpha after C^q f) with
     # Phi(alpha) after f
     for s0 in dict.fromkeys([AffineSubset.empty(space), AffineSubset.full(space), subset]):
-        fs = hom_set_dq(s0, subset, budget)
-        fi, ai = sample(fs)
-        fcols = _witness_table([fs[i].witness for i in fi], space.arity)
-        if _carried(x if s0 == subset else cq_object(s0), x, fcols)[0].size < fi.size:
+        fcolumns, (first, graphs) = _definable(s0, subset, budget)
+        fi, ai = sample(len(first))
+        hf = _replay(free, free.as_algebra(), fcolumns[:, first[fi]])
+        if _carried(x if s0 == subset else c_operator(s0), x, hf)[0].size < fi.size:
             raise AssertionFailure("definable map failed to carry the kernel relation")
-        left = _images_inside(s0, vy, _composites(fs, fi, alphas[:, ai], free, free), escape)
-        at = np.searchsorted(subset.points, _point_images(space, s0.points, fcols))
-        natural_ok &= bool((left == phi[ai[:, None], at]).all())
+        left = _images_inside(s0, vy, _compose(hf, alphas[:, ai]), escape)
+        right = phi[ai[:, None], np.searchsorted(subset.points, graphs[fi])]
+        natural_ok &= bool((left == right).all())
     # vary the target: g: y -> y1, compare Phi(g after alpha) with
     # V^q g after Phi(alpha)
-    targets = [y, Relation.identity(y.space)]
-    if y.space.free.size:
-        targets.append(Relation.from_partition(y.space, Partition.total(y.space.free.size)))
-    for y1 in dict.fromkeys(targets):
+    total = Relation.from_partition(y.space, Partition.total(y.space.free.size))
+    gcolumns, hg = _homs(y.space.free, _stable_classes(y), y.space, budget)
+    for y1 in dict.fromkeys([y, Relation.identity(y.space), total]):
         vy1 = vy if y1 == y else vq_object(y1)
-        gs = hom_set_rq(y, y1, budget)
-        gi, ai = sample(gs)
-        gcols = _witness_table([gs[i].witness for i in gi], y.space.arity)
-        left = _images_inside(subset, vy1, _composites(lhs, ai, gcols, y.space.free, free), escape)
-        graphs = _images_inside(
-            vy, vy1, gcols, AssertionFailure("induced map left the target point set")
-        )
+        first, _ = _class_maps(y, y1, hg)
+        gi, ai = sample(len(first))
+        gcols = gcolumns[:, first[gi]]
+        left = _images_inside(subset, vy1, _compose(h[:, at[ai]], gcols), escape)
+        stray = AssertionFailure("induced map left the target point set")
+        graphs = _images_inside(vy, vy1, gcols, stray)
         right = np.take_along_axis(graphs, np.searchsorted(vy.points, phi[ai]), axis=1)
         natural_ok &= bool((left == right).all())
-    return AdjunctionReport(len(lhs), len(rhs), bijection_ok, natural_ok)
+    return AdjunctionReport(len(at), len(rhs), bijection_ok, natural_ok)
 
 
 # --------------------------------------------------------------------------

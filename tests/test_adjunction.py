@@ -1,7 +1,9 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from dataclasses import astuple
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from affinekit.errors import (
 )
 from affinekit.free import enumerate_homs_free, ground_space
 from affinekit.galois import AffineSubset, Relation, c_operator
+from affinekit.instances import builtin
 
 import oracles
 from test_clone import MAX_ARITY, generators, grounds
@@ -523,6 +526,20 @@ def test_naturality_sweep_matches_per_square_oracle_pinned(name):
     assert_matches_squares_oracle(subset, y)
 
 
+def wrong_composites(monkeypatch, corrupt, size):
+    """Patch the one composite gather of verify_adjunction: a composite of
+    elements of F_bool2(corrupt) comes out shifted by one, modulo size, the
+    size of the free algebra the composites land in."""
+    inner = ground_space(bool2(), bool2(), corrupt).free.size
+    real = adjunction._compose
+
+    def wrong(h, witnesses):
+        out = real(h, witnesses)
+        return (out + 1) % size if len(h) == inner else out
+
+    monkeypatch.setattr(adjunction, "_compose", wrong)
+
+
 @pytest.mark.parametrize("side, corrupt", [("source", 2), ("target", 1)])
 def test_naturality_sweep_sees_a_wrong_composite(monkeypatch, side, corrupt):
     # each square compares clone composition against graph composition, so
@@ -531,13 +548,7 @@ def test_naturality_sweep_sees_a_wrong_composite(monkeypatch, side, corrupt):
     sp2, sp1 = ground_space(bool2(), bool2(), 2), ground_space(bool2(), bool2(), 1)
     s, y = AffineSubset.of(sp2, [1, 2]), Relation.identity(sp1)
     assert verify_adjunction(s, y).natural_ok
-    real = adjunction.substitute
-
-    def wrong(src, p, images, dst):
-        out = real(src, p, images, dst)
-        return (out + 1) % dst.size if src.arity == corrupt else out
-
-    monkeypatch.setattr(adjunction, "substitute", wrong)
+    wrong_composites(monkeypatch, corrupt, sp2.free.size)
     rep = verify_adjunction(s, y)  # V(y) is every point: no image can leave it
     assert rep.bijection_ok and not rep.natural_ok
 
@@ -547,40 +558,85 @@ def test_wrong_composite_leaving_v_of_y_is_a_bijection_failure(monkeypatch, side
     sp2, sp1 = ground_space(bool2(), bool2(), 2), ground_space(bool2(), bool2(), 1)
     s, y = AffineSubset.of(sp2, [1, 2]), cq_object(AffineSubset.of(sp1, [1]))
     assert verify_adjunction(s, y).natural_ok
-    real = adjunction.substitute
-
-    def wrong(src, p, images, dst):
-        out = real(src, p, images, dst)
-        return (out + 1) % dst.size if src.arity == corrupt else out
-
-    monkeypatch.setattr(adjunction, "substitute", wrong)
+    wrong_composites(monkeypatch, corrupt, sp2.free.size)
     with pytest.raises(BijectionFailure, match=r"correspondence image left V\(y\)"):
         verify_adjunction(s, y)
 
 
 def test_naturality_sweep_composes_the_oracles_sampled_cases(monkeypatch):
     # which (arrow, alpha) pairs get composed, as (arity of the inner free
-    # algebra, outer witness, inner generator images): the oracle composes
-    # each of its cases through substitute too
+    # algebra, outer generator images, inner witness): verify_adjunction
+    # reads them off a homomorphism table, whose rows at the generators are
+    # the outer images, and the oracle composes each through substitute
     subset, y = _full_bool2_square()
-    real = adjunction.substitute
-
-    def composed(check, seed):
-        seen = set()
-
-        def spy(src, p, images, dst):
-            columns = np.asarray(p).reshape(len(p), -1).T.tolist()
-            seen.update((src.arity, tuple(images), tuple(c)) for c in columns)
-            return real(src, p, images, dst)
-
-        monkeypatch.setattr(adjunction, "substitute", spy)
-        check(subset, y, DEFAULT_BUDGET, seed)
-        return seen
+    frees = {sp.free.size: sp.free for sp in (subset.space, y.space)}
+    gather, substitute = adjunction._compose, adjunction.substitute
 
     for seed in (1, 2026):
-        got = composed(verify_adjunction, seed)
-        assert got == composed(oracles.adjunction_squares, seed)
+        got, want = set(), set()
+
+        def spy_gather(h, inner):
+            free = frees[len(h)]
+            outer = h[list(free.var_positions)].T.tolist()
+            got.update((free.arity, tuple(o), tuple(c)) for o, c in zip(outer, inner.T.tolist()))
+            return gather(h, inner)
+
+        def spy_substitute(src, p, images, dst):
+            columns = np.asarray(p).reshape(len(p), -1).T.tolist()
+            want.update((src.arity, tuple(images), tuple(c)) for c in columns)
+            return substitute(src, p, images, dst)
+
+        monkeypatch.setattr(adjunction, "_compose", spy_gather)
+        monkeypatch.setattr(adjunction, "substitute", spy_substitute)
+        verify_adjunction(subset, y, DEFAULT_BUDGET, seed)
+        oracles.adjunction_squares(subset, y, DEFAULT_BUDGET, seed)
+        assert got == want
         assert 64 < len(got) < 4096
+
+
+def sweep_cases():
+    """(S, y): every congruence y of F_bool2(m) and of F_z4(m) over
+    z2-in-z4, m <= 2, against the 4 subsets of the line."""
+    for gen, ground in [("bool2", "bool2"), ("z4", "z2-in-z4")]:
+        g, a = builtin(gen), builtin(ground)
+        line = ground_space(g, a, 1)
+        subsets = [AffineSubset.of(line, pts) for pts in [(), (0,), (1,), (0, 1)]]
+        for m in range(3):
+            space = ground_space(g, a, m)
+            for theta in all_congruences(space.free.as_algebra()):
+                y = Relation.from_partition(space, theta)
+                yield from ((s, y) for s in subsets)
+
+
+def sweep_hom_sets(s, y):
+    """The hom sets of verify_adjunction(s, y), as (class map or images,
+    witness): hom(C^q S, y), the target companions hom(y, y1), hom(S, V(y))
+    and the source companions hom(S0, S)."""
+    space = s.space
+    rq = [hom_set_rq(cq_object(s), y)]
+    rq += [hom_set_rq(y, y1) for y1 in (y, Relation.identity(y.space), _total(y.space))]
+    dq = [hom_set_dq(s, vq_object(y))]
+    dq += [hom_set_dq(s0, s) for s0 in (AffineSubset.empty(space), AffineSubset.full(space))]
+    return [[[a.class_map, a.witness] for a in homs] for homs in rq] + [
+        [[a.images, a.witness] for a in homs] for homs in dq]
+
+
+# sha256 of the canonical JSON of the reports at seeds 1 and 2026, and of the
+# hom sets, over sweep_cases(); recorded before the naturality composites
+# were read off the hom-set sweep's own tables
+SWEEP_SHA256 = {
+    "reports": "db24d499a52e14a141abb36745b03e41932c0c791554804236a889971bdfe327",
+    "arrows": "3811911b7e4cdf5a8c1cfc10be6c7cae15202f09284be011850c8c5b2aee1b8c",
+}
+
+
+def test_adjunction_sweep_matches_frozen_digest():
+    cases = list(sweep_cases())
+    assert len(cases) == 164
+    reports = [astuple(verify_adjunction(s, y, seed=seed)) for seed in (1, 2026) for s, y in cases]
+    arrows = list(starmap(sweep_hom_sets, cases))
+    for name, obj in [("reports", reports), ("arrows", arrows)]:
+        assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == SWEEP_SHA256[name], name
 
 
 # --- representability -------------------------------------------------------
