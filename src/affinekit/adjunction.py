@@ -34,12 +34,16 @@ them at the points, the other composes graphs. A clone composite is one
 gather from a homomorphism table the call built anyway: the lhs sweep's
 for the target companions, which share y's one witness sweep, and the
 carried check's for the source companions.
+A sweep repeats each S and y, the adjunction being natural in both, so
+_source_side and _target_side keep what depends on S or y alone in 128-entry
+caches of read-only witness columns; hom(S, V(y)) reuses the lhs's columns.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +64,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .free import _replay, free_algebra, ground_space, substitute
+from .free import _frozen, _replay, free_algebra, ground_space, substitute
 from .galois import (
     AffineSubset,
     Relation,
@@ -135,6 +139,12 @@ def r_identity(rel):
 # the witness sweep
 
 
+def _afford(free, m, budget):
+    """Raise BudgetExceeded when the |free|^m witness tuples exceed budget."""
+    if free.size ** m > budget:
+        raise BudgetExceeded(f"{free.size ** m} witness tuples exceed budget {budget}")
+
+
 def _witness_columns(free, reps, m, budget):
     """The m-tuples of reps, the least members of the classes of a
     congruence psi of free up to which the witnesses give the same arrows,
@@ -142,8 +152,7 @@ def _witness_columns(free, reps, m, budget):
     place of a tuple's entries give a tuple no later with the same arrow, so
     the arrows and their first witnesses are those of all m-tuples. budget
     caps those |free|^m tuples, counted before the shrink."""
-    if free.size ** m > budget:
-        raise BudgetExceeded(f"{free.size ** m} witness tuples exceed budget {budget}")
+    _afford(free, m, budget)
     return reps[_digits((len(reps),) * m)]
 
 
@@ -351,6 +360,29 @@ def _compose(h, inner):
     return h[inner, np.arange(h.shape[1])]
 
 
+@lru_cache(maxsize=128)
+def _source_side(subset, budget):
+    """C(S), and per source companion S0: S0, C(S0), the first witness
+    column of each map f: S0 -> S and the positions in S of f's graph."""
+    x, space = c_operator(subset), subset.space
+    sources = []
+    for s0 in dict.fromkeys([AffineSubset.empty(space), AffineSubset.full(space), subset]):
+        columns, (first, graphs) = _definable(s0, subset, budget)
+        sources.append((s0, x if s0 == subset else c_operator(s0), _frozen(columns[:, first]),
+                        _frozen(np.searchsorted(subset.points, graphs))))
+    return x, tuple(sources)
+
+
+@lru_cache(maxsize=128)
+def _target_side(y, budget):
+    """V(y), and per target companion y1: V(y1) and its arrows' first witnesses."""
+    sp, total = y.space, Partition.total(y.space.free.size)
+    columns, h = _homs(sp.free, _stable_classes(y), sp, budget)
+    targets = tuple((vq_object(y1), _frozen(columns[:, _class_maps(y, y1, h)[0]])) for y1 in
+                    dict.fromkeys([y, Relation.identity(sp), Relation.from_partition(sp, total)]))
+    return targets[0][0], targets
+
+
 def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     """Count hom(C^q S, y) and hom(S, V(y)), check that Phi (restrict the
     witness-induced map to S) is a bijection between them, and check the
@@ -358,13 +390,17 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     companion and sampled beyond. A companion's squares are checked at once,
     each side by its own route: Phi of the composite through clone
     composition, read off the sweeps' own tables, the other side through
-    graphs. C^q S and the source companions enter as the partitions C(S')."""
+    graphs. C^q S and the source companions enter as the partitions C(S').
+    Sweeps repeat S and y, so work on S or y alone is cached (128 entries)."""
     space, free = subset.space, subset.space.free
     _require_context(space, y.space, "adjunction needs a common ground and generator")
-    x, vy = c_operator(subset), vq_object(y)
+    space.require_ok(subset.points)
+    y.space.require_ok()
+    _afford(free, y.space.arity, budget)  # hom(C^q S, y), hom(S, V(y)): before the caches' tests
+    (x, sources), (vy, targets) = _source_side(subset, budget), _target_side(y, budget)
     columns, h = _homs(free, x.labels, y.space, budget)
     at, _ = _class_maps(x, y, h)  # column of each arrow of the lhs
-    _, (_, rhs) = _definable(subset, vy, budget)
+    _, rhs = _graphs(subset, vy, columns)  # hom(S, V(y)) has the same witness columns
 
     # phi[j] is the graph of Phi(lhs[j]) over the points of S
     alphas = columns[:, at]
@@ -382,24 +418,18 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     natural_ok = True
     # vary the source: f: S0 -> S, compare Phi(alpha after C^q f) with
     # Phi(alpha) after f
-    for s0 in dict.fromkeys([AffineSubset.empty(space), AffineSubset.full(space), subset]):
-        fcolumns, (first, graphs) = _definable(s0, subset, budget)
-        fi, ai = sample(len(first))
-        hf = _replay(free, free.as_algebra(), fcolumns[:, first[fi]])
-        if _carried(x if s0 == subset else c_operator(s0), x, hf)[0].size < fi.size:
+    for s0, x0, fcolumns, positions in sources:
+        fi, ai = sample(fcolumns.shape[1])
+        hf = _replay(free, free.as_algebra(), fcolumns[:, fi])
+        if _carried(x0, x, hf)[0].size < fi.size:
             raise AssertionFailure("definable map failed to carry the kernel relation")
         left = _images_inside(s0, vy, _compose(hf, alphas[:, ai]), escape)
-        right = phi[ai[:, None], np.searchsorted(subset.points, graphs[fi])]
-        natural_ok &= bool((left == right).all())
+        natural_ok &= bool((left == phi[ai[:, None], positions[fi]]).all())
     # vary the target: g: y -> y1, compare Phi(g after alpha) with
     # V^q g after Phi(alpha)
-    total = Relation.from_partition(y.space, Partition.total(y.space.free.size))
-    gcolumns, hg = _homs(y.space.free, _stable_classes(y), y.space, budget)
-    for y1 in dict.fromkeys([y, Relation.identity(y.space), total]):
-        vy1 = vy if y1 == y else vq_object(y1)
-        first, _ = _class_maps(y, y1, hg)
-        gi, ai = sample(len(first))
-        gcols = gcolumns[:, first[gi]]
+    for vy1, gcolumns in targets:
+        gi, ai = sample(gcolumns.shape[1])
+        gcols = gcolumns[:, gi]
         left = _images_inside(subset, vy1, _compose(h[:, at[ai]], gcols), escape)
         stray = AssertionFailure("induced map left the target point set")
         graphs = _images_inside(vy, vy1, gcols, stray)

@@ -160,7 +160,7 @@ def free_algebra(generator, arity, budget=DEFAULT_BUDGET):
     return _free_cached(generator, arity, budget)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _free_cached(generator, arity, budget):
     k = generator.size
     npoints = k ** arity
@@ -291,7 +291,7 @@ def ground_space(generator, ground, arity, budget=DEFAULT_BUDGET):
     return _ground_cached(generator, ground, arity, budget)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _ground_cached(generator, ground, arity, budget):
     free = free_algebra(generator, arity, budget)
     coords = _digits((ground.size,) * arity)

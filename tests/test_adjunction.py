@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import tracemalloc
 from dataclasses import astuple
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import affinekit
 from affinekit import adjunction
 from affinekit.adjunction import (
     RArrowClass,
@@ -373,6 +376,19 @@ def test_cq_functor_objects():
     assert rel_closure(x) == c_operator(s)
 
 
+def test_every_library_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(affinekit.__path__):
+        module = importlib.import_module(f"affinekit.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    assert {"affinekit.free._free_cached", "affinekit.free._ground_cached",
+            "affinekit.galois.rel_closure", "affinekit.adjunction._source_side",
+            "affinekit.adjunction._target_side"} <= set(caches)
+    assert all(maxsize is not None for maxsize in caches.values()), caches
+
+
 def test_rel_closure_cache_is_bounded():
     sp = ground_space(z4(), z4(), 2)
     size = sp.free.size
@@ -630,13 +646,88 @@ SWEEP_SHA256 = {
 }
 
 
-def test_adjunction_sweep_matches_frozen_digest():
-    cases = list(sweep_cases())
-    assert len(cases) == 164
+def sweep_digests(cases):
     reports = [astuple(verify_adjunction(s, y, seed=seed)) for seed in (1, 2026) for s, y in cases]
     arrows = list(starmap(sweep_hom_sets, cases))
-    for name, obj in [("reports", reports), ("arrows", arrows)]:
-        assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == SWEEP_SHA256[name], name
+    return {name: hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+            for name, obj in [("reports", reports), ("arrows", arrows)]}
+
+
+def test_adjunction_sweep_matches_frozen_digest():
+    # cold, warm, and again after the caches are cleared
+    cases = list(sweep_cases())
+    assert len(cases) == 164
+    caches = adjunction._source_side, adjunction._target_side
+    assert sweep_digests(cases) == SWEEP_SHA256
+    assert all(cached.cache_info().currsize for cached in caches)
+    assert sweep_digests(cases) == SWEEP_SHA256
+    for cached in caches:
+        cached.cache_clear()
+    assert sweep_digests(cases) == SWEEP_SHA256
+
+
+def arrays(entry):
+    """The numpy arrays inside a cache entry of nested tuples."""
+    if isinstance(entry, np.ndarray):
+        return [entry]
+    return [a for part in entry for a in arrays(part)] if isinstance(entry, tuple) else []
+
+
+def test_adjunction_cache_entries_hold_read_only_first_witnesses():
+    # an entry holds the first witness column of each companion arrow, the
+    # witnesses of the public hom set, and the graphs as positions in S
+    held = []
+    for s, y in sweep_cases():
+        x, sources = adjunction._source_side(s, DEFAULT_BUDGET)
+        assert x == c_operator(s)
+        for s0, x0, columns, positions in sources:
+            homs = hom_set_dq(s0, s)
+            assert x0 == c_operator(s0)
+            assert columns.T.tolist() == [list(a.witness) for a in homs]
+            assert positions.tolist() == [[s.points.index(b) for b in a.images] for a in homs]
+        vy, targets = adjunction._target_side(y, DEFAULT_BUDGET)
+        assert vy == vq_object(y) == targets[0][0]
+        companions = dict.fromkeys([y, Relation.identity(y.space), _total(y.space)])
+        assert len(targets) == len(companions)
+        for (vy1, columns), y1 in zip(targets, companions):
+            assert vy1 == vq_object(y1)
+            assert columns.T.tolist() == [list(a.witness) for a in hom_set_rq(y, y1)]
+        held += arrays((sources, targets))
+    assert held
+    for a in held:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def budget_case(n, m):
+    sn, sm = ground_space(bool2(), bool2(), n), ground_space(bool2(), bool2(), m)
+    return AffineSubset.of(sn, [1]), cq_object(AffineSubset.of(sm, [0]))
+
+
+@pytest.mark.parametrize("n, m, count", [(1, 1, 4), (2, 1, 256), (1, 2, 256)])
+def test_budget_edge_holds_on_a_warm_cache(n, m, count):
+    # the binding test: at n = m all three counts are |F(n)|^n and the lhs
+    # sweep's test comes first; (2, 1) binds on the source companions'
+    # |F(2)|^2 tuples and (1, 2) on the target companions' |F(2)|^2
+    s, y = budget_case(n, m)
+    warm = verify_adjunction(s, y, 10 * count)
+    assert verify_adjunction(s, y, count) == warm
+    message = f"^{count} witness tuples exceed budget {count - 1}$"
+    for _ in range(2):  # an exception is not cached
+        with pytest.raises(BudgetExceeded, match=message):
+            verify_adjunction(s, y, count - 1)
+    assert verify_adjunction(s, y, count) == warm
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2)])
+def test_lhs_budget_test_comes_first_on_a_warm_cache(n, m):
+    # the lhs sweep's 16 tuples are tested before the 256 of the source
+    # companions (2, 1) or of the target companions (1, 2)
+    s, y = budget_case(n, m)
+    verify_adjunction(s, y)
+    with pytest.raises(BudgetExceeded, match="^16 witness tuples exceed budget 15$"):
+        verify_adjunction(s, y, 15)
 
 
 # --- representability -------------------------------------------------------
