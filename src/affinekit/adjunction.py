@@ -31,12 +31,18 @@ witness order.
 verify_adjunction checks the sampled naturality squares of one companion
 object together: one side composes witnesses in the clone and evaluates
 them at the points, the other composes graphs. A clone composite is one
-gather from a homomorphism table the call built anyway: the lhs sweep's
-for the target companions, which share y's one witness sweep, and the
-carried check's for the source companions.
-A sweep repeats each S and y, the adjunction being natural in both, so
-_source_side and _target_side keep what depends on S or y alone in 128-entry
-caches of read-only witness columns; hom(S, V(y)) reuses the lhs's columns.
+gather from a homomorphism table: the lhs sweep's for the target
+companions, which share y's one witness sweep, and the S-side entry's for
+the source companions.
+A sweep repeats each S and y, the adjunction being natural in both. So
+value objects keep their derived arrays, read-only: a Partition its least
+members and representatives, an AffineSubset its point array, mask and ev
+columns, a Relation its equivalence test and matrix with the diagonal.
+_source_side and _target_side keep what depends on S or y alone in
+128-entry caches: per source companion S0, each map S0 -> S's graph in S,
+homomorphism table and carried verdict; per target companion, the first
+witnesses. hom(S, V(y)) reuses the lhs's columns, so a warm call replays
+only the lhs sweep.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .core import (
     _apply_all,
     _digits,
     _encode,
+    _frozen,
     _least_members,
     _representatives,
 )
@@ -64,11 +71,10 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .free import _frozen, _replay, free_algebra, ground_space, substitute
+from .free import _replay, free_algebra, ground_space, substitute
 from .galois import (
     AffineSubset,
     Relation,
-    _is_equivalence,
     c_operator,
     rel_closure,
     v_operator,
@@ -156,19 +162,10 @@ def _witness_columns(free, reps, m, budget):
     return reps[_digits((len(reps),) * m)]
 
 
-def _point_images(space, points, columns):
+def _point_images(subset, columns):
     """Codes of the points (w_1(a), .., w_m(a)) of the ground, one row per
-    witness column (w_1, .., w_m), one column per point a of points."""
-    return _encode(space.ev[:, list(points)][columns], (space.ground.size,) * len(columns))
-
-
-def _related(rel):
-    """rel together with the diagonal, as a boolean matrix on the free
-    algebra's elements."""
-    related = np.eye(rel.space.free.size, dtype=bool)
-    p, q = np.array(rel.pairs, dtype=np.int64).reshape(len(rel.pairs), 2).T
-    related[p, q] = True
-    return related
+    witness column (w_1, .., w_m), one column per point a of subset."""
+    return _encode(subset._ev[columns], (subset.space.ground.size,) * len(columns))
 
 
 def _stable_classes(rel):
@@ -181,10 +178,10 @@ def _stable_classes(rel):
     images equal up to psi give homomorphisms equal up to psi, which carry
     the same pairs into rel and give the same class map."""
     falg, k = rel.space.free.as_algebra(), rel.space.free.size
-    if _is_equivalence(rel):
+    if rel._is_equivalence:
         labels = np.asarray(rel_closure(rel).labels, dtype=np.int64)
     else:
-        related = _related(rel)
+        related = rel._related
         keys = np.concatenate([related, related.T], axis=1)
         labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(k)
     tables = [(falg.np_table(sym), r) for sym, r in falg.signature.symbols if r]
@@ -217,18 +214,11 @@ def _arrows(cls, src, dst, columns, found):
     return tuple(cls(src, dst, tuple(r), tuple(w)) for r, w in zip(rows.tolist(), witnesses))
 
 
-def _inside(dst, images):
-    """Whether each row of point codes lies inside dst."""
-    member = np.zeros(dst.space.npoints, dtype=bool)
-    member[list(dst.points)] = True
-    return member[images].all(axis=1)
-
-
 def _images_inside(src, dst, columns, error):
     """The point images of src under the witness columns, one row each;
     error is raised when one leaves dst."""
-    images = _point_images(src.space, src.points, columns)
-    if not _inside(dst, images).all():
+    images = _point_images(src, columns)
+    if not dst._member[images].all():
         raise error
     return images
 
@@ -236,16 +226,17 @@ def _images_inside(src, dst, columns, error):
 def _graphs(src, dst, columns):
     """The index of the first witness column that induces each definable map
     src -> dst, and the map's graph, one row each, in column order."""
-    images = _point_images(src.space, src.points, columns)
-    inside = np.flatnonzero(_inside(dst, images))
+    images = _point_images(src, columns)
+    inside = np.flatnonzero(dst._member[images].all(axis=1))
     first = inside[_first_rows(images[inside])]
     return first, images[first]
 
 
-def _homs(free, classes, space, budget):
-    """Witness columns over the least members of classes, the labels of psi,
-    for arrows into a relation on space; and h[p, j], column j's image of p."""
-    columns = _witness_columns(free, _representatives(classes), space.arity, budget)
+def _homs(free, rep, space, budget):
+    """Witness columns over the least members of psi's classes, rep being
+    psi's least-member array, for arrows into a relation on space; and
+    h[p, j], column j's image of p."""
+    columns = _witness_columns(free, _representatives(rep), space.arity, budget)
     return columns, _replay(space.free, free.as_algebra(), columns)
 
 
@@ -258,14 +249,13 @@ def _carried(x, y, h):
     carry y; otherwise each pair of y is tested on them in turn. A Partition
     stands for the relation "same block", as C(S) does in verify_adjunction."""
     xbar, ybar = (r if isinstance(r, Partition) else rel_closure(r) for r in (x, y))
-    ylabels = np.asarray(ybar.labels, dtype=np.int64)
     # x-closure classes of the images, in the least dtype that holds them:
     # the table spans every witness column
     labels = np.asarray(xbar.labels, dtype=np.min_scalar_type(xbar.num_blocks))[h]
-    class_maps = labels[_representatives(ylabels)]
-    live = np.flatnonzero((labels == class_maps[ylabels]).all(axis=0))
-    if isinstance(x, Relation) and not _is_equivalence(x):
-        related = _related(x)
+    class_maps = labels[ybar._reps]
+    live = np.flatnonzero((labels == labels[ybar._least]).all(axis=0))
+    if isinstance(x, Relation) and not x._is_equivalence:
+        related = x._related
         for p, q in y.pairs:
             if not live.size:
                 break
@@ -285,7 +275,7 @@ def _definable(src, dst, budget):
     """The witness columns of hom_set_dq(src, dst) and their _graphs."""
     _require_context(src.space, dst.space)
     src.space.require_ok(src.points)
-    reps = _first_rows(src.space.ev[:, list(src.points)])  # least members of C(src)
+    reps = _first_rows(src._ev)  # least members of C(src)
     columns = _witness_columns(src.space.free, reps, dst.space.arity, budget)
     return columns, _graphs(src, dst, columns)
 
@@ -303,7 +293,7 @@ def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
     tuple that realizes each factorized map. The tuples are of least class
     members of x's _stable_classes."""
     _require_context(x.space, y.space)
-    columns, h = _homs(x.space.free, _stable_classes(x), y.space, budget)
+    columns, h = _homs(x.space.free, _least_members(_stable_classes(x)), y.space, budget)
     return _arrows(RArrowClass, x, y, columns, _class_maps(x, y, h))
 
 
@@ -362,14 +352,23 @@ def _compose(h, inner):
 
 @lru_cache(maxsize=128)
 def _source_side(subset, budget):
-    """C(S), and per source companion S0: S0, C(S0), the first witness
-    column of each map f: S0 -> S and the positions in S of f's graph."""
-    x, space = c_operator(subset), subset.space
+    """C(S), and per source companion S0: S0, and for each map f: S0 -> S
+    in first-witness order, the positions in S of f's graph, f's table
+    (f's image of each element of F(n), one column per map) and whether f
+    carries C(S) into C(S0). Positions and tables are in the least dtype
+    that holds them; a table has |F(n)| rows and at most as many columns
+    as the witness tuples that the budget admits."""
+    x, space, free = c_operator(subset), subset.space, subset.space.free
     sources = []
     for s0 in dict.fromkeys([AffineSubset.empty(space), AffineSubset.full(space), subset]):
         columns, (first, graphs) = _definable(s0, subset, budget)
-        sources.append((s0, x if s0 == subset else c_operator(s0), _frozen(columns[:, first]),
-                        _frozen(np.searchsorted(subset.points, graphs))))
+        table = _replay(free, free.as_algebra(), columns[:, first])
+        table = table.astype(np.min_scalar_type(free.size - 1))
+        carries = np.zeros(len(first), dtype=bool)
+        carries[_carried(x if s0 == subset else c_operator(s0), x, table)[0]] = True
+        positions = np.searchsorted(subset._codes, graphs)
+        positions = positions.astype(np.min_scalar_type(max(len(subset.points) - 1, 0)))
+        sources.append((s0, *map(_frozen, (positions, table, carries))))
     return x, tuple(sources)
 
 
@@ -377,7 +376,7 @@ def _source_side(subset, budget):
 def _target_side(y, budget):
     """V(y), and per target companion y1: V(y1) and its arrows' first witnesses."""
     sp, total = y.space, Partition.total(y.space.free.size)
-    columns, h = _homs(sp.free, _stable_classes(y), sp, budget)
+    columns, h = _homs(sp.free, _least_members(_stable_classes(y)), sp, budget)
     targets = tuple((vq_object(y1), _frozen(columns[:, _class_maps(y, y1, h)[0]])) for y1 in
                     dict.fromkeys([y, Relation.identity(sp), Relation.from_partition(sp, total)]))
     return targets[0][0], targets
@@ -391,14 +390,16 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     each side by its own route: Phi of the composite through clone
     composition, read off the sweeps' own tables, the other side through
     graphs. C^q S and the source companions enter as the partitions C(S').
-    Sweeps repeat S and y, so work on S or y alone is cached (128 entries)."""
+    Sweeps repeat S and y, so work on S or y alone is cached (128 entries):
+    the source companions' maps come with their tables and carried verdicts,
+    and S, y, C(S) and V(y) keep their derived arrays."""
     space, free = subset.space, subset.space.free
     _require_context(space, y.space, "adjunction needs a common ground and generator")
     space.require_ok(subset.points)
     y.space.require_ok()
     _afford(free, y.space.arity, budget)  # hom(C^q S, y), hom(S, V(y)): before the caches' tests
     (x, sources), (vy, targets) = _source_side(subset, budget), _target_side(y, budget)
-    columns, h = _homs(free, x.labels, y.space, budget)
+    columns, h = _homs(free, x._least, y.space, budget)
     at, _ = _class_maps(x, y, h)  # column of each arrow of the lhs
     _, rhs = _graphs(subset, vy, columns)  # hom(S, V(y)) has the same witness columns
 
@@ -418,12 +419,11 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
     natural_ok = True
     # vary the source: f: S0 -> S, compare Phi(alpha after C^q f) with
     # Phi(alpha) after f
-    for s0, x0, fcolumns, positions in sources:
-        fi, ai = sample(fcolumns.shape[1])
-        hf = _replay(free, free.as_algebra(), fcolumns[:, fi])
-        if _carried(x0, x, hf)[0].size < fi.size:
+    for s0, positions, table, carries in sources:
+        fi, ai = sample(len(carries))
+        if not carries[fi].all():
             raise AssertionFailure("definable map failed to carry the kernel relation")
-        left = _images_inside(s0, vy, _compose(hf, alphas[:, ai]), escape)
+        left = _images_inside(s0, vy, _compose(table[:, fi], alphas[:, ai]), escape)
         natural_ok &= bool((left == phi[ai[:, None], positions[fi]]).all())
     # vary the target: g: y -> y1, compare Phi(g after alpha) with
     # V^q g after Phi(alpha)
@@ -433,7 +433,7 @@ def verify_adjunction(subset, y, budget=DEFAULT_BUDGET, seed=2026):
         left = _images_inside(subset, vy1, _compose(h[:, at[ai]], gcols), escape)
         stray = AssertionFailure("induced map left the target point set")
         graphs = _images_inside(vy, vy1, gcols, stray)
-        right = np.take_along_axis(graphs, np.searchsorted(vy.points, phi[ai]), axis=1)
+        right = np.take_along_axis(graphs, np.searchsorted(vy._codes, phi[ai]), axis=1)
         natural_ok &= bool((left == right).all())
     return AdjunctionReport(len(at), len(rhs), bijection_ok, natural_ok)
 
@@ -459,7 +459,7 @@ def check_stability(rel):
     # with x0 sent to every element at once
     translate = _replay(unary, free.as_algebra(), np.arange(free.size)[None])
     p, q = np.array(rel.pairs, dtype=np.int64).reshape(len(rel.pairs), 2).T
-    return bool(_related(rel)[translate[:, p], translate[:, q]].all())
+    return bool(rel._related[translate[:, p], translate[:, q]].all())
 
 
 def representability_check(x, stable=False, budget=DEFAULT_BUDGET):

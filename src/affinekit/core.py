@@ -37,6 +37,12 @@ DEFAULT_BUDGET = 10 ** 6
 _CHUNK = 1 << 18  # entries per temporary array in the sweeps over many rows
 
 
+def _frozen(array):
+    """Mark an array read-only; cached results are shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
 def encode_point(point, size):
     """Big-endian mixed-radix code of a tuple over 0..size-1."""
     code = 0
@@ -203,9 +209,7 @@ class FiniteAlgebra:
 
     @cached_property
     def _translations(self):
-        out = _unary_translations(self)
-        out.flags.writeable = False
-        return out
+        return _frozen(_unary_translations(self))
 
     def np_table(self, name):
         if name not in self._np_tables:
@@ -279,9 +283,9 @@ def _least_members(labels):
     return _least_members(pairs.ravel()).reshape(lab.shape) - off
 
 
-def _representatives(labels):
-    """The least member of each block of labels, in increasing order."""
-    rep = _least_members(labels)
+def _representatives(rep):
+    """The least member of each block, in increasing order, from the
+    least-member array rep: its fixed points."""
     return np.flatnonzero(rep == np.arange(len(rep)))
 
 
@@ -351,6 +355,16 @@ class Partition:
     def num_blocks(self):
         return max(self.labels) + 1 if self.labels else 0
 
+    @cached_property
+    def _least(self):
+        """The least-member array of the labels, read-only."""
+        return _frozen(_least_members(self.labels))
+
+    @cached_property
+    def _reps(self):
+        """The least member of each block, in increasing order, read-only."""
+        return _frozen(_representatives(self._least))
+
     def blocks(self):
         out = [[] for _ in range(self.num_blocks)]
         for i, lab in enumerate(self.labels):
@@ -381,18 +395,16 @@ class Partition:
         """One _settle of self's least members with (x, other's least member of x)."""
         if other.size != self.size:
             raise ShapeMismatch("partitions of different sets")
-        return _partitions(_settle(_least_members(self.labels), np.arange(self.size),
-                                   _least_members(other.labels))[None])[0]
+        return _partitions(_settle(self._least, np.arange(self.size), other._least)[None])[0]
 
     def is_congruence_of(self, alg):
         """Compatible with every operation of alg?"""
         if alg.size != self.size:
             raise ShapeMismatch("partition size differs from carrier size")
         lab = np.asarray(self.labels, dtype=np.int64)
-        rep_of = _least_members(self.labels)
         for sym, r in alg.signature.symbols:
             t = alg.np_table(sym)
-            if not np.array_equal(lab[t], lab[_apply_all(t, rep_of, r)]):
+            if not np.array_equal(lab[t], lab[_apply_all(t, self._least, r)]):
                 return False
         return True
 
@@ -497,7 +509,7 @@ def quotient_algebra(alg, part):
     if not part.is_congruence_of(alg):
         raise NotACongruence("partition is not compatible with the operations")
     lab = np.asarray(part.labels, dtype=np.int64)
-    reps = _representatives(lab)
+    reps = part._reps
     tables = tuple(
         tuple(lab[_apply_all(alg.np_table(sym), reps, r)].ravel().tolist())
         for sym, r in alg.signature.symbols

@@ -46,6 +46,7 @@ from .core import (
     _apply_all,
     _chunks,
     _digits,
+    _frozen,
     encode_point,
     format_term,
 )
@@ -56,12 +57,6 @@ from .errors import (
     ValidationError,
     VariableOutOfRange,
 )
-
-
-def _frozen(array):
-    """Mark an array read-only; cached results are shared by every caller."""
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -271,11 +266,8 @@ class GroundSpace:
         return bool(self.point_ok.all())
 
     def require_ok(self, points=None):
-        bad = [
-            a
-            for a in (range(self.npoints) if points is None else points)
-            if not self.point_ok[a]
-        ]
+        pts = np.arange(self.npoints) if points is None else np.array(list(points), dtype=np.int64)
+        bad = pts[~self.point_ok[pts]].tolist()
         if bad:
             raise NotInVariety(
                 f"evaluation not well defined at point(s) {bad[:5]} of the ground"

@@ -11,7 +11,7 @@ tests stay independent of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import starmap
 from operator import ne
 
@@ -25,8 +25,8 @@ from .core import (
     _close,
     _digits,
     _encode,
+    _frozen,
     _least_members,
-    _representatives,
     decode_point,
     encode_point,
     is_homomorphism,
@@ -75,6 +75,25 @@ class AffineSubset:
         n = self.space.arity
         return tuple(decode_point(a, k, n) for a in self.points)
 
+    @cached_property
+    def _codes(self):
+        """The points as a read-only array."""
+        return _frozen(np.array(self.points, dtype=np.int64))
+
+    @cached_property
+    def _member(self):
+        """Whether each point of the space lies in the subset, read-only."""
+        member = np.zeros(self.space.npoints, dtype=bool)
+        member[self._codes] = True
+        return _frozen(member)
+
+    @cached_property
+    def _ev(self):
+        """The evaluation columns of the points, read-only: ev itself for
+        the whole space, which companion objects often are."""
+        ev = self.space.ev
+        return ev if len(self.points) == self.space.npoints else _frozen(ev[:, self._codes])
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -94,6 +113,22 @@ class Relation:
             if last is not None and not last < p:
                 raise ValidationError("pairs must be sorted and distinct")
             last = p
+
+    @cached_property
+    def _is_equivalence(self):
+        """Whether the relation with the diagonal is an equivalence: it lies
+        inside its closure, so when its off-diagonal pairs are as many as
+        the closure's, the sum of |B|(|B| - 1) over the closure's blocks B."""
+        sizes = np.bincount(rel_closure(self)._least)
+        return sum(starmap(ne, self.pairs)) == int((sizes * (sizes - 1)).sum())
+
+    @cached_property
+    def _related(self):
+        """The relation together with the diagonal, as a read-only boolean
+        matrix on the free algebra's elements."""
+        related = np.eye(self.space.free.size, dtype=bool)
+        related[tuple(np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2).T)] = True
+        return _frozen(related)
 
     @classmethod
     def of(cls, space, pairs):
@@ -121,14 +156,6 @@ def rel_closure(rel):
     """The equivalence closure of a relation, as a partition of the free
     algebra's elements."""
     return Partition.from_pairs(rel.space.free.size, rel.pairs)
-
-
-def _is_equivalence(rel):
-    """Whether rel together with the diagonal is an equivalence. It lies
-    inside its closure, so it is one when its off-diagonal pairs are as many
-    as the closure's, the sum of |B|(|B| - 1) over the closure's blocks B."""
-    sizes = np.bincount(np.asarray(rel_closure(rel).labels, dtype=np.int64))
-    return sum(starmap(ne, rel.pairs)) == int((sizes * (sizes - 1)).sum())
 
 
 @dataclass(frozen=True)
@@ -181,7 +208,7 @@ def v_of_partition(space, part):
     space.require_ok()
     if part.size != space.free.size:
         raise ShapeMismatch("partition does not fit the free algebra")
-    mask = _v_masks(space, _least_members(part.labels)[None])[0]
+    mask = _v_masks(space, part._least[None])[0]
     return AffineSubset.of(space, np.flatnonzero(mask))
 
 
@@ -261,7 +288,7 @@ def gelfand_evaluation(space, point):
 def _gelfand_parts(space, a):
     kernel = point_kernel(space, a)
     quot, proj = quotient_algebra(space.free.as_algebra(), kernel)
-    reps = _representatives(kernel.labels)
+    reps = kernel._reps
     mapping = tuple(space.ev[reps, a].tolist())
     gamma = Homomorphism(quot, space.ground, mapping)
     if len(set(mapping)) != len(mapping) or not is_homomorphism(gamma):
@@ -328,7 +355,7 @@ def birkhoff_transform(presented, budget=DEFAULT_BUDGET):
     labels = np.array(
         [ker.labels for ker in kernels], dtype=np.int64
     ).reshape(len(pts), theta.size)
-    reps = _representatives(theta.labels)
+    reps = theta._reps
     sigma_map = tuple(_encode(labels[:, reps], sizes).tolist())
     sigma = Homomorphism(quot, prod, sigma_map)
     if not is_homomorphism(sigma):
@@ -384,7 +411,7 @@ def nullstellensatz_check(presented):
         if not theta.refines(ker):
             raise AssertionFailure("point kernel fails to contain theta")
     nb = theta.num_blocks
-    reps = _representatives(theta.labels).tolist()
+    reps = theta._reps.tolist()
     tuples = set()
     onto = all(
         len({ker.labels[r] for r in reps}) == ker.num_blocks for ker in kernels

@@ -800,6 +800,20 @@ IMPL2 = {  # two-element implication algebra dressed in the z2 signature
 }
 
 
+def relation_fault(size, pairs):
+    """The message for the first bad pair of a relation on size elements,
+    checked pair by pair: its range, then its order after the pair before
+    it. None when every pair is good."""
+    last = None
+    for p in pairs:
+        if not all(0 <= v < size for v in p):
+            return "relation pair outside the free algebra"
+        if last is not None and not last < p:
+            return "pairs must be sorted and distinct"
+        last = p
+    return None
+
+
 if __name__ == "__main__":
     print("bool2 clone sizes:", [len(brute_clone(BOOL2, 2, n)) for n in range(4)])
     print("  == all functions:", [

@@ -38,12 +38,13 @@ from affinekit.core import (
 )
 from affinekit.errors import (
     AffineError,
+    AssertionFailure,
     BijectionFailure,
     BudgetExceeded,
     NotStable,
     ValidationError,
 )
-from affinekit.free import enumerate_homs_free, ground_space
+from affinekit.free import _replay, enumerate_homs_free, ground_space
 from affinekit.galois import AffineSubset, Relation, c_operator
 from affinekit.instances import builtin
 
@@ -674,17 +675,22 @@ def arrays(entry):
 
 
 def test_adjunction_cache_entries_hold_read_only_first_witnesses():
-    # an entry holds the first witness column of each companion arrow, the
-    # witnesses of the public hom set, and the graphs as positions in S
+    # a y-side entry holds the first witness column of each companion
+    # arrow, the witnesses of the public hom set; an S-side entry holds per
+    # map of the public hom set, in its order, the graph as positions in S,
+    # the table its witness replays to and its carried verdict
     held = []
     for s, y in sweep_cases():
         x, sources = adjunction._source_side(s, DEFAULT_BUDGET)
         assert x == c_operator(s)
-        for s0, x0, columns, positions in sources:
+        free = s.space.free
+        for s0, positions, table, carries in sources:
             homs = hom_set_dq(s0, s)
-            assert x0 == c_operator(s0)
-            assert columns.T.tolist() == [list(a.witness) for a in homs]
             assert positions.tolist() == [[s.points.index(b) for b in a.images] for a in homs]
+            h = _replay(free, free.as_algebra(), witness_columns(homs, s))
+            assert np.array_equal(table, h)
+            assert table.shape == (free.size, len(homs)) == table.shape[:1] + carries.shape
+            assert carries.all()  # every map S0 -> S carries C(S) into C(S0)
         vy, targets = adjunction._target_side(y, DEFAULT_BUDGET)
         assert vy == vq_object(y) == targets[0][0]
         companions = dict.fromkeys([y, Relation.identity(y.space), _total(y.space)])
@@ -694,10 +700,101 @@ def test_adjunction_cache_entries_hold_read_only_first_witnesses():
             assert columns.T.tolist() == [list(a.witness) for a in hom_set_rq(y, y1)]
         held += arrays((sources, targets))
     assert held
+    assert_read_only(held)
+
+
+def witness_columns(homs, subset):
+    """The witnesses of the arrows homs into subset, one column each."""
+    n = subset.space.arity
+    return np.array([a.witness for a in homs], dtype=np.int64).reshape(len(homs), n).T
+
+
+def assert_read_only(held):
     for a in held:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(arrow_cases(), st.randoms(use_true_random=False))
+def test_value_object_memos_match_fresh_recomputation_on_random_algebras(case, rng):
+    # relations, partitions and subsets compute their derived arrays once,
+    # read-only; each equals a fresh recomputation
+    g, ground, n, m = case
+    sn, sm = ground_space(g, ground, n), ground_space(g, ground, m)
+    held = []
+    for rel in (random_relation(rng, sn), random_relation(rng, sm)):
+        size, twin = rel.space.free.size, Relation(rel.space, rel.pairs)
+        assert twin == rel and hash(twin) == hash(rel)
+        related = np.eye(size, dtype=bool)
+        for a, b in rel.pairs:
+            related[a, b] = True
+        assert np.array_equal(rel._related, related)
+        closure = Relation.from_partition(rel.space, rel_closure(rel)).pairs
+        assert rel._is_equivalence == (set(closure) == {(a, b) for a, b in rel.pairs if a != b})
+        random_part = Partition.from_labels(rng.randrange(3) for _ in range(size))
+        for part in (rel_closure(rel), random_part):
+            least = [part.labels.index(c) for c in part.labels]
+            assert part._least.tolist() == least
+            assert part._reps.tolist() == sorted(set(least))
+            held += [part._least, part._reps]
+        held.append(rel._related)
+    ok = [a for a in range(sn.npoints) if sn.point_ok[a]]
+    subset = AffineSubset.of(sn, random_points(rng, ok))
+    points = list(subset.points)
+    assert subset._codes.tolist() == points
+    assert subset._member.tolist() == [a in points for a in range(sn.npoints)]
+    assert np.array_equal(subset._ev, sn.ev[:, points])
+    held += [subset._codes, subset._member, subset._ev]
+    if sn.ok:  # the S-side entry holds what a per-call replay and carried check give
+        x, sources = adjunction._source_side(subset, DEFAULT_BUDGET)
+        for s0, _, table, carries in sources:
+            columns = witness_columns(hom_set_dq(s0, subset), subset)
+            h = _replay(sn.free, sn.free.as_algebra(), columns)
+            assert np.array_equal(table, h)
+            live = adjunction._carried(c_operator(s0), x, h)[0]
+            assert np.flatnonzero(carries).tolist() == live.tolist()
+        held += arrays(sources)
+    assert_read_only(held)
+
+
+def pinned_case():
+    sp2, sp1 = ground_space(bool2(), bool2(), 2), ground_space(bool2(), bool2(), 1)
+    return AffineSubset.of(sp2, [1, 2]), cq_object(AffineSubset.of(sp1, [1]))
+
+
+def test_warm_call_replays_and_checks_only_the_lhs(monkeypatch):
+    # once the caches hold S and y, a call replays the lhs sweep and reads
+    # its class maps; the source companions' tables and verdicts are held
+    s, y = pinned_case()
+    warm = verify_adjunction(s, y)
+    calls = []
+    for name in ("_replay", "_carried"):
+        real = getattr(adjunction, name)
+        monkeypatch.setattr(adjunction, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert verify_adjunction(s, y) == warm
+    assert sorted(calls) == ["_carried", "_replay"]
+
+
+def test_a_sampled_map_that_fails_to_carry_is_an_assertion_failure(monkeypatch):
+    # corrupt the S-side verdicts: the source companions' maps, checked
+    # against the partition C(S), carry nothing
+    s, y = pinned_case()
+    real = adjunction._carried
+
+    def carry_none(x, y, h):
+        live, class_maps = real(x, y, h)
+        return (live[:0], class_maps[:, :0]) if isinstance(y, Partition) else (live, class_maps)
+
+    monkeypatch.setattr(adjunction, "_carried", carry_none)
+    adjunction._source_side.cache_clear()
+    try:
+        with pytest.raises(AssertionFailure, match="^definable map failed to carry the kernel"):
+            verify_adjunction(s, y)
+    finally:
+        adjunction._source_side.cache_clear()
 
 
 def budget_case(n, m):

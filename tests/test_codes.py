@@ -24,7 +24,7 @@ from affinekit.core import (
     quotient_algebra,
 )
 from affinekit.free import ground_space
-from affinekit.galois import PresentedAlgebra, birkhoff_transform
+from affinekit.galois import AffineSubset, PresentedAlgebra, birkhoff_transform
 from affinekit.instances import builtin
 
 import oracles
@@ -146,8 +146,9 @@ def test_empty_codes():
     gs = ground_space(bool2, bool2, 1)
     one_empty = np.zeros((0, 1), dtype=np.int64)  # witness columns
     no_witness = np.zeros((0, 0), dtype=np.int64)
-    assert _point_images(gs, [0, 1], one_empty).tolist() == [[0, 0]]
-    assert _point_images(gs, [0, 1], no_witness).shape == (0, 2)
+    line = AffineSubset.full(gs)
+    assert _point_images(line, one_empty).tolist() == [[0, 0]]
+    assert _point_images(line, no_witness).shape == (0, 2)
 
     # V(theta) is empty: no factors, and sigma and iota land in one point
     rep = birkhoff_transform(PresentedAlgebra(gs, Partition.total(4)))
@@ -160,5 +161,6 @@ def test_empty_codes():
     semilat = builtin("semilat2")
     empty = ground_space(semilat, semilat, 0)
     assert empty.free.size == 0
-    assert _point_images(empty, [0], no_witness).shape == (0, 1)
-    assert _point_images(empty, [0], one_empty).tolist() == [[0]]
+    point = AffineSubset.full(empty)
+    assert _point_images(point, no_witness).shape == (0, 1)
+    assert _point_images(point, one_empty).tolist() == [[0]]

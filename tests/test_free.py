@@ -187,6 +187,19 @@ def test_point_evaluation_hom():
         point_evaluation_hom(f, z2(), (5,))
 
 
+def test_require_ok_names_the_bad_points_in_the_order_asked():
+    gs = ground_space(z2(), z4(), 2)  # 4 of the 16 points are well defined
+    ok = [a for a in range(gs.npoints) if gs.point_ok[a]]
+    bad = [a for a in range(gs.npoints) if not gs.point_ok[a]]
+    assert ok and bad
+    gs.require_ok(ok)
+    gs.require_ok([])
+    for points, named in [(None, bad), (ok + bad[::-1], bad[::-1]), (bad[-1:] * 6, bad[-1:] * 5)]:
+        with pytest.raises(NotInVariety) as info:
+            gs.require_ok(points)
+        assert str(info.value) == f"evaluation not well defined at point(s) {named[:5]} of the ground"
+
+
 def test_enumerate_homs_free_counts_and_oracle():
     f = free_algebra(z2(), 2)
     homs = enumerate_homs_free(f, z2())

@@ -187,6 +187,22 @@ def test_radical_agrees_with_closure_route():
             assert radical_of_partition(gs, theta) == direct
 
 
+PAIR_LISTS = st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(PAIR_LISTS, PAIR_LISTS.map(sorted)))
+def test_relation_validation_names_the_first_bad_pair(pairs):
+    # the first bad pair decides, its range before its order
+    gs = ground_space(bool2(), bool2(), 1)  # 4 elements
+    want = oracles.relation_fault(gs.free.size, pairs)
+    if want is None:
+        assert Relation(gs, tuple(pairs)).pairs == tuple(pairs)
+    else:
+        with pytest.raises(ValidationError, match=f"^{want}$"):
+            Relation(gs, tuple(pairs))
+
+
 def test_gelfand_evaluation():
     gs = ground_space(z4(), z2(), 1)
     gamma = gelfand_evaluation(gs, (1,))
