@@ -59,9 +59,10 @@ from .core import (
     _apply_all,
     _digits,
     _encode,
+    _first_rows,
     _frozen,
-    _least_members,
     _representatives,
+    _row_least,
 )
 from .errors import (
     AssertionFailure,
@@ -169,41 +170,24 @@ def _point_images(subset, columns):
 
 
 def _stable_classes(rel):
-    """Labels of psi, the largest congruence of F(n) inside "same row and
-    same column of rel together with the diagonal" (the closure's classes
-    when that is an equivalence). Those classes are refined under the basic
-    translations p -> f(c1, .., p, .., cr), read off the operation tables,
-    until no class splits: until the labels of f(a1, .., ar) and of f at
-    the least members of the ai agree for every operation f. Generator
-    images equal up to psi give homomorphisms equal up to psi, which carry
-    the same pairs into rel and give the same class map."""
+    """The least-member array of psi, the largest congruence of F(n) inside
+    "same row and same column of rel together with the diagonal" (the
+    closure's classes when that is an equivalence). Those classes are
+    refined under the basic translations p -> f(c1, .., p, .., cr), read off
+    the operation tables, until no class splits: until f(a1, .., ar) and f
+    at the least members of the ai lie in one class for every operation f.
+    Generator images equal up to psi give homomorphisms equal up to psi,
+    which carry the same pairs into rel and give the same class map."""
     falg, k = rel.space.free.as_algebra(), rel.space.free.size
-    if rel._is_equivalence:
-        labels = np.asarray(rel_closure(rel).labels, dtype=np.int64)
-    else:
-        related = rel._related
-        keys = np.concatenate([related, related.T], axis=1)
-        labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(k)
+    rep = _row_least(np.concatenate([rel._related, rel._related.T], axis=1))
     tables = [(falg.np_table(sym), r) for sym, r in falg.signature.symbols if r]
     while True:
-        rep = _least_members(labels)
-        images = [labels[t] for t, _ in tables]
-        if all((im == labels[_apply_all(t, rep, r)]).all() for (t, r), im in zip(tables, images)):
-            return labels
-        keys = np.concatenate([labels[:, None], *(
+        images = [rep[t] for t, _ in tables]
+        if all((im == rep[_apply_all(t, rep, r)]).all() for (t, r), im in zip(tables, images)):
+            return rep
+        rep = _row_least(np.concatenate([rep[:, None], *(
             np.moveaxis(im, pos, 0).reshape(k, k ** (r - 1))
-            for (_, r), im in zip(tables, images) for pos in range(r))], axis=1)
-        labels = np.unique(keys, axis=0, return_inverse=True)[1].reshape(k)
-
-
-def _first_rows(rows):
-    """The index of the first of each distinct row of a 2-D array, in
-    increasing order."""
-    rows = np.ascontiguousarray(rows)
-    if len(rows) > 1 and rows.shape[1]:
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        return np.sort(np.unique(keys, return_index=True)[1])
-    return np.arange(min(len(rows), 1))  # at most one row, or every row is the empty row
+            for (_, r), im in zip(tables, images) for pos in range(r))], axis=1))
 
 
 def _arrows(cls, src, dst, columns, found):
@@ -293,7 +277,7 @@ def hom_set_rq(x, y, budget=DEFAULT_BUDGET):
     tuple that realizes each factorized map. The tuples are of least class
     members of x's _stable_classes."""
     _require_context(x.space, y.space)
-    columns, h = _homs(x.space.free, _least_members(_stable_classes(x)), y.space, budget)
+    columns, h = _homs(x.space.free, _stable_classes(x), y.space, budget)
     return _arrows(RArrowClass, x, y, columns, _class_maps(x, y, h))
 
 
@@ -376,7 +360,7 @@ def _source_side(subset, budget):
 def _target_side(y, budget):
     """V(y), and per target companion y1: V(y1) and its arrows' first witnesses."""
     sp, total = y.space, Partition.total(y.space.free.size)
-    columns, h = _homs(sp.free, _least_members(_stable_classes(y)), sp, budget)
+    columns, h = _homs(sp.free, _stable_classes(y), sp, budget)
     targets = tuple((vq_object(y1), _frozen(columns[:, _class_maps(y, y1, h)[0]])) for y1 in
                     dict.fromkeys([y, Relation.identity(sp), Relation.from_partition(sp, total)]))
     return targets[0][0], targets

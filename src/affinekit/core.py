@@ -283,6 +283,28 @@ def _least_members(labels):
     return _least_members(pairs.ravel()).reshape(lab.shape) - off
 
 
+def _row_keys(rows):
+    """One void key per row of a 2-D array with columns: equal keys, equal rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _row_least(rows):
+    """Least members of equal rows of a 2-D array: the first j with row i's row."""
+    if not rows.shape[1]:  # every row is the empty row
+        return np.zeros(len(rows), dtype=np.int64)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _first_rows(rows):
+    """The index of the first of each distinct row of a 2-D array, in
+    increasing order: the fixed points of _row_least, without its inverse."""
+    if len(rows) > 1 and rows.shape[1]:
+        return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
+    return np.arange(min(len(rows), 1))  # at most one row, or every row is the empty row
+
+
 def _representatives(rep):
     """The least member of each block, in increasing order, from the
     least-member array rep: its fixed points."""
@@ -375,16 +397,10 @@ class Partition:
         return self.labels[a] == self.labels[b]
 
     def refines(self, other):
+        """Every element in other's block of its least member in self."""
         if other.size != self.size:
             raise ShapeMismatch("partitions of different sets")
-        rep = {}
-        for i, lab in enumerate(self.labels):
-            if lab in rep:
-                if other.labels[i] != other.labels[rep[lab]]:
-                    return False
-            else:
-                rep[lab] = i
-        return True
+        return bool(np.array_equal(other._least[self._least], other._least))
 
     def meet(self, other):
         if other.size != self.size:
@@ -546,24 +562,6 @@ def is_subdirect_embedding(h, factors):
 # the full congruence lattice
 
 
-def _close(unit, gens, op, budget, what):
-    """The ops of all subsets of gens, unit standing for the empty one, for
-    an associative, commutative and idempotent op. The generators come in
-    one at a time: once the i-th is in, the members are the ops of the
-    subsets of the first i, so each pass combines every member found so far
-    with the new generator once. BudgetExceeded ("<what> budget <budget>")
-    when the members outnumber budget."""
-    found = {unit}
-    for g in gens:
-        for s in list(found):
-            t = op(s, g)
-            if t not in found:
-                found.add(t)
-                if len(found) > budget:
-                    raise BudgetExceeded(f"{what} budget {budget}")
-    return found
-
-
 def _unary_translations(alg):
     """A generating set of the basic translations x -> f(c1,..,x,..,cr),
     one column of images per map: row x lists the images of x. A partition
@@ -722,11 +720,11 @@ def _join_irreducibles(reps, pairs):
 
 def _join_rows(gens, budget):
     """The joins of every subset of gens (least-member rows), as least-member
-    rows in the least dtype that holds k. As in _close, for each g the rows
-    found so far that split a pair (j, g[j]) are joined with g, a chunk at a
-    time in one flat _settle (row i at offset i*k). found holds the rows'
-    bytes in order of discovery, and the rows are rebuilt from them once per
-    g, so no kept row pins the chunk it was joined in. BudgetExceeded once a
+    rows in the least dtype that holds k. For each g in turn the rows found
+    so far that split a pair (j, g[j]) are joined with g, a chunk at a time
+    in one flat _settle (row i at offset i*k). found holds the rows' bytes
+    in order of discovery, and the rows are rebuilt from them once per g,
+    so no kept row pins the chunk it was joined in. BudgetExceeded once a
     chunk takes the rows past budget."""
     k = gens.shape[1]
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))

@@ -266,7 +266,10 @@ class GroundSpace:
         return bool(self.point_ok.all())
 
     def require_ok(self, points=None):
-        pts = np.arange(self.npoints) if points is None else np.array(list(points), dtype=np.int64)
+        points = None if points is None else list(points)
+        if points and not 0 <= min(points) <= max(points) < self.npoints:
+            raise ValidationError(f"point codes must lie in 0..{self.npoints - 1}")
+        pts = np.arange(self.npoints) if points is None else np.array(points, dtype=np.int64)
         bad = pts[~self.point_ok[pts]].tolist()
         if bad:
             raise NotInVariety(

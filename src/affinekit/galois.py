@@ -22,11 +22,12 @@ from .core import (
     Homomorphism,
     Partition,
     _chunks,
-    _close,
     _digits,
     _encode,
     _frozen,
     _least_members,
+    _partitions,
+    _row_least,
     decode_point,
     encode_point,
     is_homomorphism,
@@ -36,6 +37,7 @@ from .core import (
 )
 from .errors import (
     AssertionFailure,
+    BudgetExceeded,
     EquivalenceViolation,
     NotACongruence,
     NotInjective,
@@ -181,19 +183,10 @@ class PresentedAlgebra:
 
 
 def c_operator(subset):
-    """Common kernel of evaluation at the subset's points: p ~ q iff they
-    agree everywhere on the subset. The empty subset gives the total
-    partition."""
-    space = subset.space
-    space.require_ok(subset.points)
-    m = space.free.size
-    if m == 0:
-        return Partition(0, ())
-    if not subset.points:
-        return Partition.total(m)
-    rows = space.ev[:, list(subset.points)]
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return Partition.from_labels(int(v) for v in inverse)
+    """Common kernel of evaluation at the subset's points: p ~ q iff their
+    rows of its ev columns are equal, all of them when the subset is empty."""
+    subset.space.require_ok(subset.points)
+    return _partitions(_row_least(subset._ev)[None])[0]
 
 
 def v_operator(rel):
@@ -249,7 +242,7 @@ def zariski_closure(subset):
 def point_kernel(space, a):
     """C({a}) directly from one evaluation column."""
     space.require_ok([a])
-    return Partition.from_labels(int(v) for v in space.ev[:, a])
+    return Partition.from_labels(space.ev[:, a].tolist())
 
 
 def radical_of_partition(space, part):
@@ -462,11 +455,12 @@ def zariski_report(space, budget=DEFAULT_BUDGET):
     points where they evaluate equally. V(C(S)) is the intersection of the
     masks that contain S, so the closed sets are exactly the intersections
     of masks, the whole space being the empty one. A mask that is the
-    intersection of the masks strictly containing it adds none, so only the
-    meet-irreducible masks go to _close under AND; budget bounds the closed
-    sets. Unions of closed sets are closed iff a | b is closed for any two
-    of those masks, since the union of the intersections of A and of B is
-    the intersection of all a | b. Closed sets come sorted by bitmask."""
+    intersection of the masks strictly containing it adds none, so the
+    meet-irreducible masks come in one at a time, each ANDed with every
+    closed set so far; budget bounds the closed sets. Unions of closed sets
+    are closed iff a | b is closed for any two of those masks, since the
+    union of the intersections of A and of B is the intersection of all
+    a | b. Closed sets come sorted by bitmask."""
     space.require_ok()
     npts, ev = space.npoints, space.ev
     rows = set()
@@ -476,7 +470,11 @@ def zariski_report(space, budget=DEFAULT_BUDGET):
     packed = np.packbits(_meet_irreducibles(bits), axis=1, bitorder="little")
     masks = [int.from_bytes(r.tobytes(), "little") for r in packed]
 
-    closed = _close((1 << npts) - 1, masks, int.__and__, budget, "closed sets exceed")
+    closed = {(1 << npts) - 1}
+    for g in [-1, *masks]:  # -1 keeps every set: a first pass that budgets the whole space
+        closed |= {s & g for s in closed}
+        if len(closed) > budget:
+            raise BudgetExceeded(f"closed sets exceed budget {budget}")
     union_closed = all((a | b) in closed for a in masks for b in masks)
     return ZariskiReport(
         closed_sets=tuple(

@@ -707,6 +707,11 @@ def adjunction_squares(subset, y, budget, seed):
     return len(lhs), len(rhs), bijection_ok, natural_ok
 
 
+def first_equal_rows(rows):
+    """For each row of a list of rows, the index of the first equal row."""
+    return [rows.index(row) for row in rows]
+
+
 def refines(p, q):
     """Does the partition with labels p refine the one with labels q?"""
     first = {}

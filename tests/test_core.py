@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -8,7 +11,9 @@ from affinekit.core import (
     Homomorphism,
     Partition,
     Var,
-    _close,
+    _first_rows,
+    _representatives,
+    _row_least,
     all_congruences,
     decode_point,
     encode_point,
@@ -196,17 +201,6 @@ def _free_bool1():
     ])
 
 
-def test_close_is_every_op_of_a_subset():
-    # 1 and 3, and 3 and 6, share a bit: 16 subsets give 10 distinct unions
-    gens = [1, 3, 6, 8]
-    want = {a | b | c | d for a in (0, 1) for b in (0, 3) for c in (0, 6) for d in (0, 8)}
-    assert len(want) == 10
-    assert _close(0, gens, int.__or__, len(want), "sets exceed") == want
-    with pytest.raises(BudgetExceeded, match=f"^sets exceed budget {len(want) - 1}$"):
-        _close(0, gens, int.__or__, len(want) - 1, "sets exceed")
-    assert _close(7, [], int.__and__, 1, "sets exceed") == {7}
-
-
 def test_partition_basics():
     p = Partition.from_pairs(4, [(0, 2)])
     assert p.labels == (0, 1, 0, 2)
@@ -223,6 +217,38 @@ def test_partition_basics():
     with pytest.raises(ValidationError):
         Partition(3, (0, 2, 1))  # not normalized
     assert Partition.total(0) == Partition.identity(0)
+
+
+def test_refines_matches_per_label_oracle():
+    # q coarser than p by a join half the time, so both answers come up
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randrange(7)
+        p, q = (Partition.from_labels(rng.randrange(4) for _ in range(size)) for _ in "pq")
+        if rng.random() < 0.5:
+            q = p.join(q)
+        assert p.refines(q) == oracles.refines(p.labels, q.labels)
+        assert q.refines(p) == oracles.refines(q.labels, p.labels)
+    with pytest.raises(ShapeMismatch):
+        Partition.identity(3).refines(Partition.identity(4))
+
+
+def test_row_least_and_first_rows_match_first_equal_row_oracle():
+    rng = np.random.default_rng(5)
+    shapes = [(0, 3), (4, 0), (0, 0), (1, 5), (1, 0)]
+    shapes += [tuple(rng.integers(1, 9, 2)) for _ in range(200)]
+    for i, shape in enumerate(shapes):
+        if i % 3 == 2:
+            rows = rng.random(shape) < 0.5
+        else:
+            rows = rng.integers(-2, 3, shape, dtype=(np.int8, np.int64)[i % 3])
+        if i % 5 == 4:
+            rows = np.ascontiguousarray(rows.T).T  # a strided view, as of a transpose
+        want = oracles.first_equal_rows(rows.tolist())
+        least = _row_least(rows)
+        assert least.tolist() == want
+        assert _first_rows(rows).tolist() == sorted(set(want))
+        assert np.array_equal(_first_rows(rows), _representatives(least))
 
 
 @given(st.lists(st.integers(-2, 6), max_size=8), st.permutations(range(8)))

@@ -149,11 +149,15 @@ def test_galois_laws_random(case, rng):
 
 def test_c_v_match_brute_force():
     rng = random.Random(21)
-    for gs in spaces():
+    # semilat2 has no constants, so at arity 0 its free algebra is empty
+    for gs in spaces() + [ground_space(semilat2(), semilat2(), 0)]:
         m = gs.free.size
+        rows = [tuple(int(v) for v in gs.ev[p]) for p in range(m)]
+        for pts in ([], range(gs.npoints)):
+            got = c_operator(AffineSubset.of(gs, pts))
+            assert got.labels == oracles.brute_c(rows, list(pts))
         if m == 0:
             continue
-        rows = [tuple(int(v) for v in gs.ev[p]) for p in range(m)]
         for _ in range(8):
             pts = [a for a in range(gs.npoints) if rng.random() < 0.5]
             got = c_operator(AffineSubset.of(gs, pts))
@@ -201,6 +205,16 @@ def test_relation_validation_names_the_first_bad_pair(pairs):
     else:
         with pytest.raises(ValidationError, match=f"^{want}$"):
             Relation(gs, tuple(pairs))
+
+
+def test_point_codes_out_of_range_raise_validation_error():
+    # -1 must not index point_ok and ev from the end, as the point (1,)
+    gs = ground_space(bool2(), bool2(), 1)
+    calls = [lambda: gelfand_evaluation(gs, (-1,)), lambda: gelfand_evaluation(gs, (5,)),
+             lambda: point_kernel(gs, 2), lambda: point_kernel(gs, -1)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^point codes must lie in 0\.\.1$"):
+            call()
 
 
 def test_gelfand_evaluation():
@@ -345,11 +359,12 @@ def test_zariski_report_matches_congruence_route():
         assert set(rep.closed_sets) == from_lattice
 
 
-@pytest.mark.parametrize("alg, n, count", [(semilat2, 4, 2271), (z4, 3, 129)])
+# semilat2 at arity 1 has one element, so no agreement masks: only the whole space
+@pytest.mark.parametrize("alg, n, count", [(semilat2, 4, 2271), (z4, 3, 129), (semilat2, 1, 1)])
 def test_zariski_report_budget_bounds_closed_sets(alg, n, count):
     gs = ground_space(alg(), alg(), n)
     assert len(zariski_report(gs, budget=count).closed_sets) == count
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=f"^closed sets exceed budget {count - 1}$"):
         zariski_report(gs, budget=count - 1)
 
 
