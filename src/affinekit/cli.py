@@ -25,6 +25,7 @@ from .core import (
     App,
     FiniteAlgebra,
     Var,
+    _chunks,
     _digits,
     decode_point,
     encode_point,
@@ -305,19 +306,31 @@ def _cmd_builtins(args):
 def _cmd_free(args):
     space = _space(args)
     free = space.free
-    elements = [
-        {"index": i, "table": list(e.table), "term": e.term_string()}
-        for i, e in enumerate(free.elements)
-    ]
+    k = free.generator.size
+
+    def elements(d):
+        ind, key = _indent(d), _indent(d + 1)
+        values = [_indent(d + 2) + str(v) for v in range(k)]
+        for chunk in _chunks(range(free.size), k ** free.arity):
+            yield ",".join(f'{ind}{{{key}"index": {i},{key}"table": ['
+                           + ",".join(map(values.__getitem__, free.elements[i].table))
+                           + f'{key}],{key}"term": '
+                           + json.dumps(free.elements[i].term_string()) + ind + "}"
+                           for i in chunk)
+
     payload = {
         "generator": free.generator.name or "(file)",
         "arity": free.arity,
         "size": free.size,
         "elements": elements,
     }
-    lines = [f"free algebra on {free.arity} generators: {free.size} elements"]
-    lines += [f"  {e['index']}: {e['term']}  table {e['table']}" for e in elements]
-    return payload, lines
+
+    def lines():
+        yield f"free algebra on {free.arity} generators: {free.size} elements"
+        for i, e in enumerate(free.elements):
+            yield f"  {i}: {e.term_string()}  table {list(e.table)}"
+
+    return payload, lines()
 
 
 def _cmd_cop(args):
@@ -395,16 +408,21 @@ def _cmd_zariski(args):
     space = _space(args)
     rep = zariski_report(space, args.budget)
     points = _digits((space.ground.size,) * space.arity).T.tolist()
-    decoded = [[points[a] for a in s] for s in rep.closed_sets]
-    payload = {"count": len(rep.closed_sets), "closed_sets": decoded,
+
+    def closed_sets(d):
+        for bits in rep._bits():
+            yield _json_sets(bits, points, d)
+
+    payload = {"count": rep._count, "closed_sets": closed_sets,
                "is_topology": rep.is_topology, "union_closed": rep.union_closed,
                "matches_discrete": rep.matches_discrete}
 
     def lines():
-        yield (f"{len(rep.closed_sets)} closed sets; topology: {rep.is_topology}; "
+        yield (f"{rep._count} closed sets; topology: {rep.is_topology}; "
                f"union-closed: {rep.union_closed}; discrete: {rep.matches_discrete}")
-        for s in decoded:
-            yield "  {" + "; ".join(",".join(map(str, p)) for p in s) + "}"
+        texts = [",".join(map(str, p)) for p in points]
+        for bits in rep._bits():
+            yield _member_texts(bits, texts, "  {", "; ", "}", "  {}", "\n")
 
     return payload, lines()
 
@@ -473,75 +491,117 @@ def _cmd_stone(args):
 def _cmd_classify(args):
     space = _space(args)
     rep = classify_fixed(space.free.generator, space.ground, args.arity, args.budget)
-    entries = []
-    for e in rep.entries:
-        blocks = [list(b) for b in e.partition.blocks()]
-        # a fixed congruence is its own radical
-        radical = blocks if e.fixed else [list(b) for b in e.radical.blocks()]
-        entries.append({"blocks": blocks, "fixed": e.fixed, "radical_blocks": radical})
+    k = space.free.size
+
+    def described(render):
+        """(blocks, fixed, radical blocks) of each entry, the block lists as
+        texts by render, a chunk at a time. A fixed congruence is its own
+        radical; any other radical's text is made once, when first needed."""
+        radical = {}
+        for rows, fixed, inv in zip(*(_chunks(a, k) for a in (rep._rows, rep._fixed, rep._inv))):
+            new = sorted(set(inv[~fixed].tolist()) - radical.keys())
+            radical.update(zip(new, render(rep._radicals[new])))
+            yield [(b, f, b if f else radical[i])
+                   for b, f, i in zip(render(rows), fixed.tolist(), inv.tolist())]
+
+    def entries(d):
+        ind, key = _indent(d), _indent(d + 1)
+        for chunk in described(lambda rows: _json_blocks(rows, d + 1)):
+            yield ",".join(f'{ind}{{{key}"blocks": {b},{key}"fixed": {json.dumps(f)},'
+                           f'{key}"radical_blocks": {r}{ind}}}' for b, f, r in chunk)
+
     payload = {"total": rep.total, "fixed_count": rep.fixed_count, "entries": entries}
 
     def lines():
         yield f"{rep.fixed_count} of {rep.total} congruences are point-set-fixed"
-        for e in entries:
-            tag = "fixed  " if e["fixed"] else "widens "
-            yield "  " + tag + " | ".join(",".join(map(str, b)) for b in e["blocks"])
-            if not e["fixed"]:
-                rdesc = " | ".join(",".join(map(str, b)) for b in e["radical_blocks"])
-                yield f"         radical: {rdesc}"
+        texts = [str(x) for x in range(k)]
+        for chunk in described(lambda rows: _block_texts(rows, texts, "", ",", "", " | ")):
+            for b, f, r in chunk:
+                yield ("  fixed  " if f else "  widens ") + b
+                if not f:
+                    yield f"         radical: {r}"
 
     return payload, lines()
 
 
 # --------------------------------------------------------------------------
-# output
+# output: the text of json.dumps(payload, indent=2, sort_keys=True), written a
+# chunk at a time. A long list in a payload is a function of its items' depth
+# that yields their texts a chunk of items at a time: each item with its
+# newline and indent, the items joined by commas. An item's text is one join
+# of the texts of element indices or points at their depth, made once per
+# chunk.
 
 
-# Byte classes of the one-line JSON text: 1 opens, -1 closes, 0 separates
-# items, 2 is anything else.
-_STEP = np.full(128, 2, dtype=np.int8)
-_STEP[[ord("["), ord("{")]] = 1
-_STEP[[ord("]"), ord("}")]] = -1
-_STEP[ord(",")] = 0
+def _indent(depth):
+    return "\n" + "  " * depth
 
 
-def _dumps(payload):
-    """json.dumps(payload, indent=2, sort_keys=True), from the C encoder's
-    one-line ASCII text: outside strings, a newline and two spaces per level
-    go after each '[', '{' and ',' and before each ']' and '}', except
-    inside an empty [] or {}. Temporaries go as soon as they are spent, so
-    the peak stays near the size of the output."""
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ": "))
-    text = np.frombuffer(raw.encode("ascii"), dtype=np.uint8)
-    # with escaped backslashes and quotes blanked, quotes delimit strings
-    plain = raw.replace("\\\\", "__").replace('\\"', "__").encode("ascii")
-    quote = np.frombuffer(plain, dtype=np.uint8) == ord('"')
-    del raw, plain
-    step = _STEP[text]
-    step[np.cumsum(quote, dtype=np.uint8) & 1 == 1] = 2  # inside a string
-    del quote
-    at = np.flatnonzero(step < 2)
-    step = step[at]
-    depth = np.cumsum(step, dtype=np.int32)
-    empty = np.flatnonzero((step[:-1] == 1) & (step[1:] == -1) & (np.diff(at) == 1))
-    keep = np.ones(len(at), dtype=bool)
-    keep[empty] = keep[empty + 1] = False
-    cut = (at + (step >= 0))[keep]  # an indent goes in before text[cut]
-    width = 1 + 2 * depth[keep]
-    del at, step, depth, keep
-    size = len(text) + int(width.sum())
-    # dest[j]: where text[j] lands, past every indent cut at or before j
-    dest = np.zeros(len(text), dtype=np.int32 if size < 2**31 else np.int64)
-    dest[cut] = width
-    np.cumsum(dest, out=dest)
-    dest += np.arange(len(text), dtype=dest.dtype)
-    newline = dest[cut] - width
-    del cut, width
-    out = np.full(size, ord(" "), dtype=np.uint8)
-    out[dest] = text
-    del dest
-    out[newline] = ord("\n")
-    return str(out, "ascii")
+def _json_pieces(value, depth=0):
+    """The text of json.dumps(value, indent=2, sort_keys=True) at depth, in
+    pieces; dicts have string keys, and their callable values are long
+    lists."""
+    if isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in sorted(value.items()):
+            yield f"{sep}{_indent(depth + 1)}{json.dumps(key)}: "
+            yield from _json_pieces(item, depth + 1)
+            sep = ","
+        yield _indent(depth) + "}"
+    elif callable(value):
+        sep = "["
+        for text in value(depth + 1):
+            if text:
+                yield sep + text
+                sep = ","
+        yield "[]" if sep == "[" else _indent(depth) + "]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", _indent(depth))
+
+
+def _block_texts(rows, texts, open_, sep, close, cut):
+    """The blocks of each least-member row in order of least member, joined
+    by cut, each block its members' texts joined by sep between open_ and
+    close. One stable argsort lines up the members of each block."""
+    k = len(texts)
+    if not k:
+        return [""] * len(rows)
+    table = ([close + cut + open_ + t for t in texts] + [sep + t for t in texts]
+             + [open_ + t for t in texts])
+    order = np.argsort(rows, axis=1, kind="stable")
+    tok = order + k * (np.diff(np.take_along_axis(rows, order, axis=1), prepend=-1) == 0)
+    tok[:, 0] += 2 * k
+    return ["".join(map(table.__getitem__, r)) + close for r in tok.tolist()]
+
+
+def _member_texts(bits, texts, open_, sep, close, empty, between):
+    """The rows of a 0/1 matrix as one text, joined by between: each row the
+    texts of its set columns joined by sep between open_ and close, or empty
+    when none is set."""
+    n = len(texts)
+    bits = bits[:, :n].astype(bool)
+    table = ([sep + t for t in texts] + [open_ + t for t in texts]
+             + [close + between, empty + between, close, empty])
+    tok = np.where(bits, np.arange(n) + n * (np.cumsum(bits, axis=1) == 1), -1)
+    tok = np.c_[tok, np.where(bits.any(axis=1), 2 * n, 2 * n + 1)]
+    tok[-1:, n] += 2  # the last row without between
+    return "".join(map(table.__getitem__, tok[tok >= 0].tolist()))
+
+
+def _json_blocks(rows, depth):
+    """The JSON texts at depth of the blocks of least-member rows."""
+    texts = [_indent(depth + 2) + str(x) for x in range(rows.shape[1])]
+    sub = _indent(depth + 1)
+    return [f"[{b}{_indent(depth)}]" if b else "[]"
+            for b in _block_texts(rows, texts, sub + "[", ",", sub + "]", ",")]
+
+
+def _json_sets(bits, points, depth):
+    """The JSON text of the point sets of the rows of a 0/1 matrix as items
+    at depth of a list."""
+    ind, sub = _indent(depth), _indent(depth + 1)
+    texts = [sub + json.dumps(p, indent=2).replace("\n", sub) for p in points]
+    return _member_texts(bits, texts, ind + "[", ",", ind + "]", ind + "[]", ",")
 
 
 # --------------------------------------------------------------------------
@@ -618,7 +678,9 @@ def main(argv=None):
         return 1
     try:
         if args.json:
-            print(_dumps({"command": args.command, "version": VERSION, **payload}))
+            for piece in _json_pieces({"command": args.command, "version": VERSION, **payload}):
+                sys.stdout.write(piece)
+            sys.stdout.write("\n")
         else:
             for line in lines:
                 print(line)

@@ -427,10 +427,34 @@ def nullstellensatz_check(presented):
 
 @dataclass(frozen=True)
 class ZariskiReport:
-    closed_sets: tuple
+    """_masks holds the closed sets as little-endian bitmasks over the
+    points, _width bytes each, in increasing order; closed_sets decodes them
+    when first read."""
+
     is_topology: bool
     union_closed: bool
     matches_discrete: bool
+    _masks: bytes
+    _width: int
+
+    @property
+    def _count(self):
+        return len(self._masks) // self._width
+
+    def _bits(self):
+        """The masks as 0/1 rows, padded to whole bytes, a chunk at a time."""
+        packed = np.frombuffer(self._masks, dtype=np.uint8).reshape(-1, self._width)
+        return (np.unpackbits(chunk, axis=1, bitorder="little")
+                for chunk in _chunks(packed, 8 * self._width))
+
+    @cached_property
+    def closed_sets(self):
+        """Each closed set as its points in increasing order."""
+        out = []
+        for bits in self._bits():
+            cols, ends = np.nonzero(bits)[1].tolist(), np.cumsum(bits.sum(axis=1)).tolist()
+            out += [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
+        return tuple(out)
 
 
 def _meet_irreducibles(bits):
@@ -476,11 +500,11 @@ def zariski_report(space, budget=DEFAULT_BUDGET):
         if len(closed) > budget:
             raise BudgetExceeded(f"closed sets exceed budget {budget}")
     union_closed = all((a | b) in closed for a in masks for b in masks)
+    width = (npts + 7) // 8
     return ZariskiReport(
-        closed_sets=tuple(
-            tuple(a for a in range(npts) if mask >> a & 1) for mask in sorted(closed)
-        ),
         is_topology=union_closed and 0 in closed,
         union_closed=union_closed,
         matches_discrete=len(closed) == 2 ** npts,
+        _masks=b"".join(s.to_bytes(width, "little") for s in sorted(closed)),
+        _width=width,
     )

@@ -6,11 +6,13 @@ over a chosen ground."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, FiniteAlgebra, _chunks, _congruence_rows, _partitions
+from .core import (DEFAULT_BUDGET, FiniteAlgebra, _chunks, _congruence_rows, _frozen,
+                   _partitions)
 from .errors import UnknownSymbol
 from .free import ground_space
 from .galois import _c_rows, _v_masks
@@ -175,12 +177,33 @@ class ClassifiedCongruence:
     radical: object  # equals the partition exactly when fixed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifyReport:
+    """The congruences and their radicals are kept as least-member rows,
+    _inv[i] being the radical row of congruence i; entries are built from
+    them when first read, and reports compare by them."""
+
     arity: int
     total: int
     fixed_count: int
-    entries: tuple
+    _rows: np.ndarray = field(repr=False)
+    _fixed: np.ndarray = field(repr=False)
+    _inv: np.ndarray = field(repr=False)
+    _radicals: np.ndarray = field(repr=False)
+
+    @cached_property
+    def entries(self):
+        rad = _partitions(self._radicals)
+        return tuple(ClassifiedCongruence(partition=th, fixed=f, radical=rad[i])
+                     for th, f, i in zip(_partitions(self._rows), self._fixed.tolist(),
+                                         self._inv.tolist()))
+
+    def __eq__(self, other):
+        return (isinstance(other, ClassifyReport)
+                and (self.arity, self.entries) == (other.arity, other.entries))
+
+    def __hash__(self):
+        return hash((self.arity, self.entries))
 
 
 def classify_fixed(generator, ground, arity, budget=DEFAULT_BUDGET):
@@ -189,13 +212,6 @@ def classify_fixed(generator, ground, arity, budget=DEFAULT_BUDGET):
     computed once per distinct V mask by the array sweeps, equals it."""
     space = ground_space(generator, ground, arity, budget)
     rows, _, inv, radicals = _lattice(space, budget)
-    fixed = (radicals[inv] == rows).all(axis=1).tolist()
-    rad = _partitions(radicals)
-    entries = tuple(ClassifiedCongruence(partition=th, fixed=f, radical=rad[i])
-                    for th, f, i in zip(_partitions(rows), fixed, inv.tolist()))
-    return ClassifyReport(
-        arity=arity,
-        total=len(entries),
-        fixed_count=sum(fixed),
-        entries=entries,
-    )
+    fixed = (radicals[inv] == rows).all(axis=1)
+    return ClassifyReport(arity, len(rows), int(fixed.sum()),
+                          *map(_frozen, (rows, fixed, inv, radicals)))

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import affinekit
-from affinekit.cli import _dumps, algebra_from_dict, main, parse_term
+from affinekit import core
+from affinekit.cli import (
+    _json_blocks,
+    _json_pieces,
+    _json_sets,
+    algebra_from_dict,
+    main,
+    parse_term,
+)
 from affinekit.core import App, Var
 from affinekit.errors import ParseError
 
@@ -547,23 +556,78 @@ def test_lattice_and_adjunction_paths_load_no_numpy_ma():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--builtin", "z4", "--arity", "3", "--json"],
-    ["zariski", "--builtin", "semilat2", "--arity", "4"],
-])
-def test_closed_stdout_exits_141_without_a_traceback(argv):
-    # both outputs outgrow a pipe's buffer, so the writer meets the closed end
+@pytest.mark.parametrize("argv, skip", [
+    (["classify", "--builtin", "z4", "--arity", "3", "--json"], 0),
+    (["zariski", "--builtin", "semilat2", "--arity", "4"], 0),
+    # 32 MB in four chunks of 16,384 closed sets: the pipe closes in the third
+    (["zariski", "--builtin", "distlat2", "--arity", "4", "--json"], 20 << 20),
+], ids=["argv0", "argv1", "argv2"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, skip):
+    # every output outgrows a pipe's buffer, so the writer meets the closed end
     src = os.path.dirname(os.path.dirname(affinekit.__file__))
     proc = subprocess.Popen(
         [sys.executable, "-m", "affinekit.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline()
+    assert len(proc.stdout.read(skip)) == skip
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# Runs the CLI on its arguments and prints its exit code, stdout size and
+# sha256, and ru_maxrss from os.wait4. It runs in a process of its own: a
+# child's ru_maxrss also counts the pages it shared with its parent before
+# exec, which from inside pytest would be the test runner's whole heap.
+STREAM_PROBE = """
+import hashlib, json, os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "affinekit.cli", *sys.argv[1:]],
+                        stdout=subprocess.PIPE)
+digest, size = hashlib.sha256(), 0
+for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+    digest.update(block)
+    size += len(block)
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), size, digest.hexdigest(),
+                  usage.ru_maxrss]))
+"""
+
+
+def test_zariski_json_streams_in_bounded_memory():
+    """65,536 closed sets over 16 points, 32 MB of text, written a chunk at a
+    time: the process peaked at 190 MB when the whole text was built first."""
+    src = os.path.dirname(os.path.dirname(affinekit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", STREAM_PROBE, "zariski", "--builtin", "distlat2",
+         "--arity", "4", "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    code, size, digest, maxrss = json.loads(out)
+    assert (code, size) == (0, 32_243_873)
+    assert digest == "4b3f2eeec6e7bca290d9e270721fa7cb75e7cd9177e6940b5289f3f510553f25"
+    assert maxrss < 100 * 1024  # kilobytes
+
+
+@pytest.mark.parametrize("job, digest", [
+    ("classify --builtin distlat2 --arity 3 --json",
+     LATTICE_JSON_SHA256["classify --builtin distlat2 --arity 3"]),
+    ("classify --builtin z4 --ground z2-in-z4 --arity 3 --json",
+     LATTICE_JSON_SHA256["classify --builtin z4 --ground z2-in-z4 --arity 3"]),
+    ("classify --builtin z4 --ground z2-in-z4 --arity 2",
+     TEXT_SHA256["classify --builtin z4 --ground z2-in-z4 --arity 2"]),
+    ("zariski --builtin semilat2 --arity 4 --json", ZARISKI_JSON_SHA256["semilat2", 4]),
+    ("zariski --builtin semilat2 --arity 4", TEXT_SHA256["zariski --builtin semilat2 --arity 4"]),
+])
+def test_output_in_small_chunks_matches_frozen_digest(capsys, job, digest):
+    """The writers at 64 entries a chunk: many chunks, and radicals first
+    needed in a later chunk than the one that made their text."""
+    with mock.patch.object(core, "_CHUNK", 64):
+        code, out, _ = run(capsys, job.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- the --json encoder -------------------------------------------------------
@@ -598,4 +662,53 @@ JSON_VALUES = st.recursive(
 @example({"": {}, "a": [[], {}, [{}]], "\\\\\"": "\\\""})
 @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 10**40])
 def test_json_encoder_matches_json_dumps(value):
-    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert "".join(_json_pieces(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def least_member_rows(draw):
+    """Rows of random labels 0..k-1 as least-member rows: x goes to the
+    first element with x's label."""
+    k = draw(st.sampled_from([0, 1, 2, 5]))
+    rows = draw(st.lists(st.lists(st.integers(0, max(k - 1, 0)), min_size=k, max_size=k),
+                         max_size=4))
+    return np.array([[row.index(lab) for lab in row] for row in rows],
+                    dtype=np.uint8).reshape(len(rows), k)
+
+
+@st.composite
+def point_masks(draw):
+    """Random 0/1 rows over the points of A^n for |A| = 3, with up to 7 zero
+    columns after them as np.unpackbits leaves, and the points as lists."""
+    arity = draw(st.integers(0, 2))
+    npts = 3 ** arity
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=npts, max_size=npts), max_size=5))
+    bits = np.zeros((len(rows), npts + draw(st.integers(0, 7))), dtype=np.uint8)
+    bits[:, :npts] = np.array(rows, dtype=np.uint8).reshape(len(rows), npts)
+    return bits, [list(p) for p in np.ndindex((3,) * arity)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(least_member_rows(), point_masks())
+@example(np.zeros((0, 3), dtype=np.uint8), (np.zeros((0, 1), dtype=np.uint8), [[]]))
+@example(np.array([[0, 0, 2]], dtype=np.uint8), (np.ones((1, 1), dtype=np.uint8), [[]]))
+@example(np.zeros((2, 1), dtype=np.uint8), (np.zeros((2, 3), dtype=np.uint8), [[0], [1], [2]]))
+def test_list_writers_match_json_dumps(rows, masks):
+    """The blocks of least-member rows and the point sets of masks, written
+    by _json_blocks and _json_sets, against json.dumps of the same lists;
+    once at the top and once a level further in."""
+    bits, points = masks
+    blocks = [[[x for x, r in enumerate(row) if r == least] for least in sorted(set(row))]
+              for row in rows.tolist()]
+    sets = [[points[a] for a in range(len(points)) if row[a]] for row in bits.tolist()]
+
+    def block_items(d):
+        yield ",".join("\n" + "  " * d + b for b in _json_blocks(rows, d))
+
+    def set_items(d):
+        yield _json_sets(bits, points, d)
+
+    lazy = {"blocks": block_items, "sets": set_items}
+    plain = {"blocks": blocks, "sets": sets}
+    assert "".join(_json_pieces({**lazy, "in": lazy})) == json.dumps(
+        {**plain, "in": plain}, indent=2, sort_keys=True)

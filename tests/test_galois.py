@@ -499,3 +499,10 @@ def test_v_and_radical_sweeps_match_scalar_routes_pinned(alg, n):
     rng = random.Random(n)
     masks = [[rng.random() < 0.5 for _ in range(gs.npoints)] for _ in range(8)]
     check_sweeps(gs, masks + [[True] * gs.npoints, [False] * gs.npoints])
+
+
+def test_zariski_reports_compare_by_closed_sets():
+    a, b = (zariski_report(ground_space(z4(), z4(), 2)) for _ in "ab")
+    assert a == b and hash(a) == hash(b)
+    assert a.closed_sets == b.closed_sets
+    assert a != zariski_report(ground_space(z4(), z4(), 1))

@@ -165,3 +165,12 @@ def test_classify_fixed_matches_radical_of_partition_on_random_algebras(case):
         rad = radical_of_partition(space, e.partition)
         assert e.radical == rad and e.fixed == (rad == e.partition)
     assert rep.fixed_count == sum(e.fixed for e in rep.entries)
+
+
+def test_reports_compare_by_their_entries():
+    z4, z2 = builtin("z4"), builtin("z2-in-z4")
+    a, b = (classify_fixed(z4, z2, 2) for _ in "ab")
+    assert a == b and hash(a) == hash(b)
+    assert a != classify_fixed(z4, z4, 2)
+    assert a != classify_fixed(z4, z2, 1)
+    assert "_rows" not in repr(a)
