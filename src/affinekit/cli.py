@@ -227,24 +227,35 @@ def parse_relation(space, pairs_text, equations_text):
 # shared option handling
 
 
-def _add_generator_opts(p):
+def _add_command(sub, name):
+    """The subparser of a command of _COMMANDS, with its options."""
+    handler, help_, options = _COMMANDS[name]
+    p = sub.add_parser(name, help=help_)
+    p.set_defaults(handler=handler)
+    if options is None:
+        p.add_argument("--json", action="store_true")
+        return
     p.add_argument("--algebra", metavar="FILE", help="generator algebra from a JSON file")
-    p.add_argument(
-        "--builtin", metavar="NAME",
-        help=f"generator algebra by name ({', '.join(list_builtins())})",
-    )
-
-
-def _add_common_opts(p, ground=True):
-    if ground:
-        p.add_argument(
-            "--ground", metavar="FILE_OR_NAME",
-            help="evaluation algebra (defaults to the generator)",
-        )
+    p.add_argument("--builtin", metavar="NAME",
+                   help=f"generator algebra by name ({', '.join(list_builtins())})")
+    if "no-ground" not in options:
+        p.add_argument("--ground", metavar="FILE_OR_NAME",
+                       help="evaluation algebra (defaults to the generator)")
     p.add_argument("--arity", type=int, default=1, help="number of free generators")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="work cap before giving up (default %(default)s)")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
+    if "points" in options:
+        p.add_argument("--points", default="", help="semicolon-separated points, e.g. '0,1;1,0'")
+    if "relation" in options:
+        p.add_argument("--pairs", default="", help="element-index pairs, e.g. '0,1;2,3'")
+        p.add_argument("--equations", default="", help="term equations, e.g. 'and(x0,x1)=x0'")
+    if "target-arity" in options:
+        p.add_argument("--target-arity", type=int, default=None,
+                       help="arity of the relation side (defaults to --arity)")
+    if "assume-stable" in options:
+        p.add_argument("--assume-stable", action="store_true",
+                       help="skip the translation-stability check")
 
 
 def _load_ref(value):
@@ -607,57 +618,46 @@ def _json_sets(bits, points, depth):
 # --------------------------------------------------------------------------
 
 
-def _build_parser():
+# name -> (handler, help, option words), in the order of the help text. All
+# but builtins (None: --json alone) take the generator, --ground unless
+# "no-ground", --arity, --budget, --json, and the options their words name
+_COMMANDS = {
+    "builtins": (_cmd_builtins, "list the built-in algebras", None),
+    "free": (_cmd_free, "list the free algebra's term functions", "no-ground"),
+    "cop": (_cmd_cop, "kernel congruence of evaluation at a point set", "points"),
+    "vop": (_cmd_vop, "common solution set of a relation", "relation"),
+    "closure": (_cmd_closure, "closure of a point set", "points"),
+    "radical": (_cmd_radical, "radical congruence of a relation", "relation"),
+    "null": (_cmd_null, "three-way fixed/radical/subdirect equivalence check", "relation"),
+    "zariski": (_cmd_zariski, "enumerate closed sets and topology flags", ""),
+    "adjoint": (_cmd_adjoint, "two-sided hom-set count with naturality",
+                "points relation target-arity"),
+    "represent": (_cmd_represent, "hom count against the closure quotient",
+                  "relation assume-stable"),
+    "stone": (_cmd_stone, "subsets/congruences correspondence demo", "no-ground"),
+    "classify": (_cmd_classify, "which congruences are point-set-fixed", ""),
+}
+
+
+def _build_parser(argv=()):
+    """The parser of the command that argv names, or of every command when
+    it names none (help, a missing or an unknown command). The one-command
+    parser's metavar lists every command, so its usage text is the same."""
     parser = argparse.ArgumentParser(
         prog="affinekit",
         description="finite-algebra closure operators, transforms, and hom-set checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_, generator=True, ground=True, points=False,
-            relation=False):
-        p = sub.add_parser(name, help=help_)
-        if generator:
-            _add_generator_opts(p)
-        _add_common_opts(p, ground=ground)
-        if points:
-            p.add_argument("--points", default="",
-                           help="semicolon-separated points, e.g. '0,1;1,0'")
-        if relation:
-            p.add_argument("--pairs", default="",
-                           help="element-index pairs, e.g. '0,1;2,3'")
-            p.add_argument("--equations", default="",
-                           help="term equations, e.g. 'and(x0,x1)=x0'")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = sub.add_parser("builtins", help="list the built-in algebras")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_builtins)
-
-    add("free", _cmd_free, "list the free algebra's term functions", ground=False)
-    add("cop", _cmd_cop, "kernel congruence of evaluation at a point set", points=True)
-    add("vop", _cmd_vop, "common solution set of a relation", relation=True)
-    add("closure", _cmd_closure, "closure of a point set", points=True)
-    add("radical", _cmd_radical, "radical congruence of a relation", relation=True)
-    add("null", _cmd_null, "three-way fixed/radical/subdirect equivalence check",
-        relation=True)
-    add("zariski", _cmd_zariski, "enumerate closed sets and topology flags")
-    p = add("adjoint", _cmd_adjoint, "two-sided hom-set count with naturality",
-            points=True, relation=True)
-    p.add_argument("--target-arity", type=int, default=None,
-                   help="arity of the relation side (defaults to --arity)")
-    p = add("represent", _cmd_represent, "hom count against the closure quotient",
-            relation=True)
-    p.add_argument("--assume-stable", action="store_true",
-                   help="skip the translation-stability check")
-    add("stone", _cmd_stone, "subsets/congruences correspondence demo", ground=False)
-    add("classify", _cmd_classify, "which congruences are point-set-fixed")
+    names = list(argv[:1]) if argv[:1] and argv[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _add_command(sub, name)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -656,47 +656,86 @@ def _closure(images, x, y, rows, known=None):
     return rep.reshape(rows, k) - ident[::k, None]
 
 
-def _principals(alg, budget):
+def _principals(alg, budget, gens=None):
     """The distinct principal congruences Cg(a, b) of alg, a < b, as rows
     of least-member arrays in order of discovery; a generating pair (a, b)
     of each row; and of_pair, which holds the row of Cg(a, b) at a*k + b.
 
-    The pairs of one b, for all a < b, are settled together. For every
-    translation t, Cg(t(a), t(b)) is within Cg(a, b), so a known
+    The pairs of one b whose row is still unknown are settled together.
+    For every translation t, Cg(t(a), t(b)) is within Cg(a, b), so a known
     Cg(t(a), t(b)) that holds (a, b) is Cg(a, b): round 0 settles such a
     pair with no closure. The other pairs go to one _closure call with a
-    row each. BudgetExceeded when the principals outgrow budget."""
+    row each. BudgetExceeded when the principals outgrow budget.
+
+    gens, automorphisms of alg as rows of images, fill of_pair by orbits:
+    sigma Cg(a, b) = Cg(sigma a, sigma b) is Cg(a, b) read through sigma^-1.
+    Each new row is moved by every generator (acts[r, i]: row r moved by
+    gens[i]), and an unknown image joins the rows with its pair moved. The
+    pairs settled for b, and those they fill, are then pushed through every
+    generator until nothing new is filled. No gens: the plain route."""
     k = alg.size
     images = alg._translations
+    gens = np.empty((0, k), dtype=np.int64) if gens is None else gens
+    inverse, g = np.argsort(gens, axis=1), len(gens)
+    # moved[i, a*k + b]: the code of the pair (sigma_i a, sigma_i b), sorted
+    u, v = gens.astype(np.int32)[:, :, None], gens.astype(np.int32)[:, None, :]
+    moved = (np.minimum(u, v) * k + np.maximum(u, v)).reshape(g, k * k)
     reps, index = np.empty((0, k), dtype=np.int32), {}
     blocks = np.empty(0, dtype=np.int64)
     pairs = np.empty((0, 2), dtype=np.int64)
     of_pair = np.full(k * k, -1, dtype=np.int32)
+    acts = np.empty((0, g), dtype=np.int32)
+
+    def intern(cg, cg_pairs):
+        """The rows of cg, adding the new ones with their sorted generating pairs."""
+        nonlocal reps, blocks, pairs
+        ids = np.array([index.setdefault(rep.tobytes(), len(index)) for rep in cg], np.int64)
+        if len(index) > budget:
+            raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
+        if len(index) > len(reps):
+            rows, first = np.unique(ids, return_index=True)
+            new = first[rows >= len(reps)]
+            reps = np.vstack([reps, cg[new]])
+            blocks = np.append(blocks, (cg[new] == np.arange(k)).sum(axis=1))
+            pairs = np.vstack([pairs, np.sort(cg_pairs[new], axis=1)])
+        return ids
+
     for b in range(1, k):
-        a = np.arange(b)
+        a = np.flatnonzero(of_pair[b:b * k:k] < 0)
+        if not len(a):
+            continue
         # the known rows of the translates (t(a), t(b)), -1 where unknown;
         # every one that holds (a, b) is the same row, Cg(a, b)
-        lo, hi = np.minimum(images[:b], images[b]), np.maximum(images[:b], images[b])
+        lo, hi = np.minimum(images[a], images[b]), np.maximum(images[a], images[b])
         known = of_pair[lo * k + hi]
         hit = known >= 0
-        hit[hit] = reps[known[hit], hit.nonzero()[0]] == reps[known[hit], b]
+        hit[hit] = reps[known[hit], a[hit.nonzero()[0]]] == reps[known[hit], b]
         row = np.where(hit, known, -1).max(axis=1, initial=-1)
         settled = row >= 0
         of_pair[a[settled] * k + b] = row[settled]
         rest = a[~settled]
-        if not len(rest):
+        if len(rest):
+            off = np.arange(len(rest)) * k
+            cg = _closure(images, off + rest, off + b, len(rest), (reps, blocks, of_pair))
+            of_pair[rest * k + b] = intern(cg, np.stack([rest, np.full(len(rest), b)], axis=1))
+        if not g:
             continue
-        off = np.arange(len(rest)) * k
-        cg = _closure(images, off + rest, off + b, len(rest),
-                      (reps, blocks, of_pair))
-        of_pair[rest * k + b] = [index.setdefault(rep.tobytes(), len(index)) for rep in cg]
-        if len(index) > budget:
-            raise BudgetExceeded(f"congruence lattice exceeds budget {budget}")
-        rows, first = np.unique(of_pair[rest * k + b], return_index=True)
-        new = first[rows >= len(reps)]
-        reps = np.vstack([reps, cg[new]])
-        blocks = np.append(blocks, (cg[new] == np.arange(k)).sum(axis=1))
-        pairs = np.vstack([pairs, np.stack([rest[new], np.full(len(new), b)], axis=1)])
+        while len(acts) < len(reps):
+            # least[i*k + x]: the least member of block x of image i
+            lab = (reps[len(acts):, inverse].reshape(-1, k)
+                   + np.arange(0, (len(reps) - len(acts)) * g * k, k)[:, None]).ravel()
+            least = np.full(lab.size, k, dtype=np.int32)
+            np.minimum.at(least, lab, np.arange(lab.size, dtype=np.int32) % k)
+            ids = intern(least[lab].reshape(-1, k),
+                         gens[:, pairs[len(acts):]].swapaxes(0, 1).reshape(-1, 2))
+            acts = np.vstack([acts, ids.reshape(-1, g)])
+        c = a * k + b
+        while len(c):
+            code = moved[:, c].ravel()
+            fresh = of_pair[code] < 0
+            code, first = np.unique(code[fresh], return_index=True)
+            of_pair[code] = acts[of_pair[c]].T.ravel()[fresh][first]
+            c = code
     return reps, pairs, of_pair
 
 
@@ -742,23 +781,23 @@ def _join_rows(gens, budget):
     return np.frombuffer(b"".join(found), ident.dtype).reshape(-1, k)
 
 
-def _congruence_rows(alg, budget):
+def _congruence_rows(alg, budget, gens=None):
     """Every congruence of alg as a least-member row, the rows sorted as
     big-endian bytes, which is the order of their labels; an empty alg has
     the one empty row.
 
-    The principal congruences come from _principals: a known principal
-    settles most pairs (a, b) outright, and the rest of one b go to one
-    closure call with a row per pair. Every congruence is a join of
-    join-irreducible ones, and those are principal, so _join_rows builds
-    the lattice from the principals that are not the join of the principals
-    strictly below them, found from one generating pair per principal: L
-    congruences from J join-irreducibles take fewer than J * L row joins.
-    BudgetExceeded when the principals or the lattice do not fit in
-    budget."""
+    The principal congruences come from _principals, by orbits of the
+    automorphisms gens if given: a known principal settles most pairs
+    outright, and the rest of one b go to one closure call. Every
+    congruence is a join of join-irreducible ones, and those are
+    principal, so _join_rows builds the lattice from the principals that
+    are not the join of the principals strictly below them, found from
+    one generating pair per principal: L congruences from J
+    join-irreducibles take fewer than J * L row joins. BudgetExceeded
+    when the principals or the lattice do not fit in budget."""
     if alg.size == 0:
         return np.empty((1, 0), dtype=np.uint8)
-    reps, pairs, _ = _principals(alg, budget)
+    reps, pairs, _ = _principals(alg, budget, gens)
     rows = _join_rows(reps[_join_irreducibles(reps, pairs)], budget)
     return rows[np.argsort(rows.astype(rows.dtype.newbyteorder(">")).view(
         np.dtype((np.void, rows[0].nbytes))).ravel())]

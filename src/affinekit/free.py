@@ -33,7 +33,7 @@ x_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
     _apply_all,
     _chunks,
     _digits,
+    _first_rows,
     _frozen,
     encode_point,
     format_term,
@@ -87,6 +88,7 @@ class FreeAlgebra:
         self.var_positions = var_positions
         self._recipes = recipes
         self._tables = tables
+        self._np_tables = dict(zip(generator.signature.names, tables))  # as in FiniteAlgebra
         self._matrix = _frozen(np.array(
             [e.table for e in elements], dtype=np.int64
         ).reshape(len(elements), generator.size ** arity))
@@ -132,12 +134,29 @@ class FreeAlgebra:
     def witness_term(self, p):
         return self.elements[p].witness
 
+    @cached_property
+    def _automorphisms(self):
+        """Substitution automorphisms of F(n) as a read-only (g, size) table,
+        row i mapping p to sigma_i(p): of the transposition (x0 x1), the
+        n-cycle and x0 -> f(x0, x1, ..) for each basic operation f of arity
+        >= 1 (variables taken cyclically), replayed at once, those whose
+        tables are permutations other than the identity, once each."""
+        n, var = self.arity, np.array(self.var_positions, dtype=np.int64)
+        images = [var[[1, 0, *range(2, n)]] if n > 1 else var, np.roll(var, -1)] + [
+            np.r_[table[tuple(var[np.arange(r) % n])], var[1:]]
+            for (_, r), table in zip(self.signature.symbols, self._tables) if r and n]
+        tables = _replay(self, self, np.array(images, dtype=np.int64).T).T
+        ident = np.arange(self.size)
+        tables = tables[(np.sort(tables, axis=1) == ident).all(axis=1)
+                        & (tables != ident).any(axis=1)]
+        return _frozen(tables[_first_rows(tables)])
+
 
 def _replay(free, target, images):
     """Every element of free evaluated in target, an algebra of the same
-    signature, from generator images of shape (arity, *batch): out[p] has
-    shape batch and is computed from p's recipe in witness order."""
-    tables = [target.np_table(sym) for sym in target.signature.names]
+    signature or a FreeAlgebra (on its element indices), from generator
+    images of shape (arity, *batch): out[p] has shape batch, by p's recipe."""
+    tables = [target._np_tables[sym] for sym in target.signature.names]
     out = np.empty((free.size,) + images.shape[1:], dtype=np.int64)
     for p, (s, operands) in enumerate(free._recipes):
         if s is None:

@@ -109,10 +109,10 @@ class StoneReport:
 
 def _lattice(space, budget):
     """The congruences of the free algebra as the least-member rows of
-    _congruence_rows, in all_congruences' order; their distinct V masks; the
-    index of each one's mask; and the radical C(V) of each mask as a
-    least-member row."""
-    rows = _congruence_rows(space.free.as_algebra(), budget)
+    _congruence_rows, its principals found by orbits of its substitution
+    automorphisms, in all_congruences' order; their distinct V masks; the
+    index of each one's mask; and the radical C(V) of each as a row."""
+    rows = _congruence_rows(space.free.as_algebra(), budget, space.free._automorphisms)
     space.require_ok()
     masks, inv = np.unique(_v_masks(space, rows), axis=0, return_inverse=True)
     return rows, masks, inv, _c_rows(space, masks)

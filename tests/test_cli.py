@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import affinekit
 from affinekit import core
 from affinekit.cli import (
+    _build_parser,
     _json_blocks,
     _json_pieces,
     _json_sets,
@@ -497,6 +498,49 @@ def test_exit_help_and_errors_to_stderr(capsys):
     assert code == 0 and "subcommand" in out or "usage" in out
     code, out, err = run(capsys, ["cop", "--builtin", "nope", "--points", "1"])
     assert code == 1 and out == "" and "nope" in err
+
+# (exit code, sha256 prefixes of stdout and stderr) of the help and usage
+# texts at 80 columns, recorded from the parser that held every command. A
+# parser built for the invoked command alone must print the same bytes:
+# argparse reports unrecognized arguments with the top-level usage, which
+# lists every command
+USAGE_DIGESTS = {
+    "--help": (0, "fc7e301e4e2ceed0", "e3b0c44298fc1c14"),
+    "builtins --help": (0, "0f08802f6cab8c4c", "e3b0c44298fc1c14"),
+    "free --help": (0, "522fe15db459f2e3", "e3b0c44298fc1c14"),
+    "cop --help": (0, "b3f83b17e5273a77", "e3b0c44298fc1c14"),
+    "vop --help": (0, "a973b9ec3431189d", "e3b0c44298fc1c14"),
+    "closure --help": (0, "86f8b63ce084f739", "e3b0c44298fc1c14"),
+    "radical --help": (0, "7f79cc8bdea4f5e9", "e3b0c44298fc1c14"),
+    "null --help": (0, "58d37d2a0ade95c9", "e3b0c44298fc1c14"),
+    "zariski --help": (0, "360316e8e2919620", "e3b0c44298fc1c14"),
+    "adjoint --help": (0, "aa1c63e86e257fa1", "e3b0c44298fc1c14"),
+    "represent --help": (0, "3b3ea1b30e517022", "e3b0c44298fc1c14"),
+    "stone --help": (0, "81d35faca52c5158", "e3b0c44298fc1c14"),
+    "classify --help": (0, "76951960b145a034", "e3b0c44298fc1c14"),
+    "bogus": (2, "e3b0c44298fc1c14", "1eab44cf07be72aa"),
+    "": (2, "e3b0c44298fc1c14", "e0e59ca6c09bfb29"),
+    "zariski --nope": (2, "e3b0c44298fc1c14", "0bbcd23070a29401"),
+    "stone --arity 2 --json extra": (2, "e3b0c44298fc1c14", "3a0d2dc3c031756d"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_DIGESTS))
+def test_help_and_usage_texts_match_frozen_digest(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, argv.split())
+    assert (code, *(hashlib.sha256(x.encode()).hexdigest()[:16] for x in (out, err))) \
+        == USAGE_DIGESTS[argv]
+
+
+def test_parser_holds_only_the_invoked_command():
+    def commands(argv):
+        return list(_build_parser(argv)._subparsers._group_actions[0].choices)
+
+    every = commands([])
+    assert len(every) == 12 and commands(["bogus"]) == commands(["--help"]) == every
+    for name in every:
+        assert commands([name, "--arity", "2"]) == [name]
 
 
 def test_mismatched_signature_is_domain_error(capsys):

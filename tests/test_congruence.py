@@ -284,6 +284,46 @@ def test_principal_table_of_random_algebras_matches_oracle(generator):
                 assert labels == oracles.least_congruence(ops, alg.size, [(a, b)])
 
 
+# --------------------------------------------------------------------------
+# the orbit route: principals filled by orbits of substitution automorphisms
+
+
+def check_orbit_route(free_alg):
+    """_principals with F(n)'s automorphisms gives every pair a < b the
+    principal of the plain route, as many principals and the same lattice,
+    and holds the principal count to the budget."""
+    alg, gens = free_alg.as_algebra(), free_alg._automorphisms
+    k = alg.size
+    plain, _, plain_of = _principals(alg, DEFAULT_BUDGET)
+    reps, pairs, of_pair = _principals(alg, DEFAULT_BUDGET, gens)
+    upper = np.triu(np.ones((k, k), dtype=bool), 1).ravel()
+    assert len(reps) == len(plain) and (of_pair[~upper] == -1).all()
+    np.testing.assert_array_equal(reps[of_pair[upper]], plain[plain_of[upper]])
+    assert (of_pair[pairs[:, 0] * k + pairs[:, 1]] == np.arange(len(reps))).all()
+    np.testing.assert_array_equal(_congruence_rows(alg, DEFAULT_BUDGET, gens),
+                                  _congruence_rows(alg, DEFAULT_BUDGET))
+    if len(reps):
+        assert len(_principals(alg, len(reps), gens)[0]) == len(reps)
+        message = f"^congruence lattice exceeds budget {len(reps) - 1}$"
+        with pytest.raises(BudgetExceeded, match=message):
+            _principals(alg, len(reps) - 1, gens)
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in list_builtins() for n in (1, 2, 3)]
+                         + [("distlat2", 4), ("z4", 4)])
+def test_orbit_route_gives_the_plain_principals(name, n):
+    check_orbit_route(free_algebra(builtin(name), n))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators())
+def test_orbit_route_gives_the_plain_principals_on_random_algebras(generator):
+    g, n = generator
+    f = free_algebra(g, n)
+    if f.size:
+        check_orbit_route(f)
+
+
 def test_generate_congruence_on_the_largest_free_algebra():
     alg = free("distlat2", 3)
     ops = _ops_dict(alg)

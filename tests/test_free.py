@@ -8,6 +8,7 @@ from affinekit.core import (
     FiniteAlgebra,
     Homomorphism,
     Var,
+    _apply_all,
     decode_point,
     evaluate_term,
     is_homomorphism,
@@ -28,6 +29,7 @@ from affinekit.free import (
     substitute,
     verify_ground,
 )
+from affinekit.instances import builtin
 
 import oracles
 from test_core import bool2, semilat2, z4, _ops_dict
@@ -282,3 +284,31 @@ def test_substitute_basics():
     assert f2.elements[got].table == (0, 1, 0, 0)
     with pytest.raises(SignatureMismatch):
         substitute(f2, andi, (0, 0), free_algebra(z4(), 2))
+
+
+# automorphisms kept of F_g(n) from the transposition (x0 x1), the n-cycle
+# and x0 -> f(x0, x1, ..) for each basic operation f of arity >= 1
+AUTOMORPHISM_COUNTS = {
+    ("bool2", 0): 0, ("bool2", 1): 1, ("bool2", 2): 2, ("bool2", 3): 3,
+    ("distlat2", 0): 0, ("distlat2", 1): 0, ("distlat2", 2): 1, ("distlat2", 3): 2,
+    ("semilat2", 0): 0, ("semilat2", 1): 0, ("semilat2", 2): 1, ("semilat2", 3): 2,
+    ("z2", 0): 0, ("z2", 1): 0, ("z2", 2): 2, ("z2", 3): 3,
+    ("z2-in-z4", 0): 0, ("z2-in-z4", 1): 0, ("z2-in-z4", 2): 2, ("z2-in-z4", 3): 3,
+    ("z4", 0): 0, ("z4", 1): 1, ("z4", 2): 3, ("z4", 3): 4, ("z4", 4): 4,
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(AUTOMORPHISM_COUNTS))
+def test_substitution_automorphisms(name, n):
+    free = free_algebra(builtin(name), n)
+    sigma = free._automorphisms
+    assert sigma.shape == (AUTOMORPHISM_COUNTS[name, n], free.size)
+    assert free._automorphisms is sigma and not sigma.flags.writeable
+    every = np.arange(free.size)
+    assert (np.sort(sigma, axis=1) == every).all()
+    assert len({s.tobytes() for s in sigma} - {every.tobytes()}) == len(sigma)
+    for s in sigma:
+        # the substitution x_i -> s(x_i), commuting with every operation
+        assert np.array_equal(substitute(free, every, s[list(free.var_positions)], free), s)
+        for (_, r), table in zip(free.signature.symbols, free._tables):
+            assert np.array_equal(s[table], _apply_all(table, s, r))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from affinekit import core
+from affinekit import core, instances
 from affinekit.core import FiniteAlgebra, Partition
-from affinekit.errors import NotInVariety, UnknownSymbol
+from affinekit.errors import BudgetExceeded, NotInVariety, UnknownSymbol
 from affinekit.free import free_algebra, ground_space
 from affinekit.galois import radical_of_partition
 from affinekit.instances import (
@@ -165,6 +165,18 @@ def test_classify_fixed_matches_radical_of_partition_on_random_algebras(case):
         rad = radical_of_partition(space, e.partition)
         assert e.radical == rad and e.fixed == (rad == e.partition)
     assert rep.fixed_count == sum(e.fixed for e in rep.entries)
+
+
+@pytest.mark.parametrize("name, count", [("distlat2", 256), ("z4", 129)])
+def test_classify_fixed_budget_is_the_lattice_size(monkeypatch, name, count):
+    # the space is built under the default budget: the clone's operand
+    # tuple cap (20**2 on F_distlat2(3)) would stop a budget of the lattice
+    # size first, so only the lattice, here on the orbit route, meets it
+    monkeypatch.setattr(instances, "ground_space", lambda g, a, n, budget: ground_space(g, a, n))
+    alg = builtin(name)
+    assert classify_fixed(alg, alg, 3, budget=count).total == count
+    with pytest.raises(BudgetExceeded, match=f"^congruence lattice exceeds budget {count - 1}$"):
+        classify_fixed(alg, alg, 3, budget=count - 1)
 
 
 def test_reports_compare_by_their_entries():
