@@ -178,9 +178,9 @@ def _stable_classes(rel):
     at the least members of the ai lie in one class for every operation f.
     Generator images equal up to psi give homomorphisms equal up to psi,
     which carry the same pairs into rel and give the same class map."""
-    falg, k = rel.space.free.as_algebra(), rel.space.free.size
+    free, k = rel.space.free, rel.space.free.size
     rep = _row_least(np.concatenate([rel._related, rel._related.T], axis=1))
-    tables = [(falg.np_table(sym), r) for sym, r in falg.signature.symbols if r]
+    tables = [(free._np_tables[sym], r) for sym, r in free.signature.symbols if r]
     while True:
         images = [rep[t] for t, _ in tables]
         if all((im == rep[_apply_all(t, rep, r)]).all() for (t, r), im in zip(tables, images)):
@@ -221,7 +221,7 @@ def _homs(free, rep, space, budget):
     psi's least-member array, for arrows into a relation on space; and
     h[p, j], column j's image of p."""
     columns = _witness_columns(free, _representatives(rep), space.arity, budget)
-    return columns, _replay(space.free, free.as_algebra(), columns)
+    return columns, _replay(space.free, free, columns)
 
 
 def _carried(x, y, h):
@@ -295,7 +295,7 @@ def cq_arrow(d):
     algebras swapped)."""
     x, y = cq_object(d.source), cq_object(d.target)
     column = np.array(d.witness, dtype=np.int64)[:, None]
-    h = _replay(y.space.free, x.space.free.as_algebra(), column)
+    h = _replay(y.space.free, x.space.free, column)
     arrows = _arrows(RArrowClass, x, y, column, _class_maps(x, y, h))
     if not arrows:
         raise AssertionFailure("definable map failed to carry the kernel relation")
@@ -346,7 +346,7 @@ def _source_side(subset, budget):
     sources = []
     for s0 in dict.fromkeys([AffineSubset.empty(space), AffineSubset.full(space), subset]):
         columns, (first, graphs) = _definable(s0, subset, budget)
-        table = _replay(free, free.as_algebra(), columns[:, first])
+        table = _replay(free, free, columns[:, first])
         table = table.astype(np.min_scalar_type(free.size - 1))
         carries = np.zeros(len(first), dtype=bool)
         carries[_carried(x if s0 == subset else c_operator(s0), x, table)[0]] = True
@@ -441,7 +441,7 @@ def check_stability(rel):
     unary = free_algebra(free.generator, 1)
     # translate[u, p] is u(p): the unary term functions replayed in F(n)
     # with x0 sent to every element at once
-    translate = _replay(unary, free.as_algebra(), np.arange(free.size)[None])
+    translate = _replay(unary, free, np.arange(free.size)[None])
     p, q = np.array(rel.pairs, dtype=np.int64).reshape(len(rel.pairs), 2).T
     return bool(rel._related[translate[:, p], translate[:, q]].all())
 

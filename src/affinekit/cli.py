@@ -27,7 +27,6 @@ from .core import (
     Var,
     _chunks,
     _digits,
-    decode_point,
     encode_point,
     evaluate_term,
     generate_congruence,
@@ -168,13 +167,8 @@ def parse_term(text):
 
 
 def term_to_element(space, term):
-    g = space.free.generator
-    k = g.size
-    n = space.free.arity
-    table = tuple(
-        evaluate_term(g, term, decode_point(p, k, n)) for p in range(k ** n)
-    )
-    return space.free.index_of_table(table)
+    """The element of F(n) that the term denotes: its value at F(n)'s generators."""
+    return evaluate_term(space.free, term, space.free.var_positions)
 
 
 def parse_points(text, space):
@@ -217,9 +211,7 @@ def parse_relation(space, pairs_text, equations_text):
             sides = chunk.split("=")
             if len(sides) != 2:
                 raise ParseError(f"equation {chunk!r} must have exactly one '='")
-            lhs = term_to_element(space, parse_term(sides[0]))
-            rhs = term_to_element(space, parse_term(sides[1]))
-            pairs.append((lhs, rhs))
+            pairs.append(tuple(term_to_element(space, parse_term(side)) for side in sides))
     return Relation.of(space, pairs)
 
 
@@ -399,7 +391,7 @@ def _cmd_radical(args):
 def _cmd_null(args):
     space = _space(args)
     rel = parse_relation(space, args.pairs, args.equations)
-    theta = generate_congruence(space.free.as_algebra(), rel.pairs)
+    theta = generate_congruence(space.free, rel.pairs)
     report = nullstellensatz_check(PresentedAlgebra(space, theta))
     blocks, terms = _blocks_payload(space, theta)
     payload = {"congruence_blocks": blocks, "block_terms": terms,

@@ -12,6 +12,10 @@ arrays, for any radices: no radices give the one empty code, which is how
 constants take the same path as every other arity. encode_point and
 decode_point are their scalar forms for a single point. _apply_all applies
 an operation table to every tuple of operands at once, in the same order.
+
+What reads an algebra's operations reads only size, signature, _np_tables
+(symbol -> array of shape (size,) * arity) and the cached _translations
+and _automorphisms (where present), so a free.FreeAlgebra goes in as itself.
 """
 
 from __future__ import annotations
@@ -230,7 +234,8 @@ def evaluate_term(alg, term, env):
         raise ArityMismatch(
             f"{term.symbol!r} expects {r} arguments, got {len(term.args)}"
         )
-    return alg.op(term.symbol, tuple(evaluate_term(alg, a, env) for a in term.args))
+    args = tuple(evaluate_term(alg, a, env) for a in term.args)
+    return int(alg._np_tables[term.symbol][args])
 
 
 def generate_subuniverse(alg, seeds):
@@ -419,7 +424,7 @@ class Partition:
             raise ShapeMismatch("partition size differs from carrier size")
         lab = np.asarray(self.labels, dtype=np.int64)
         for sym, r in alg.signature.symbols:
-            t = alg.np_table(sym)
+            t = alg._np_tables[sym]
             if not np.array_equal(lab[t], lab[_apply_all(t, self._least, r)]):
                 return False
         return True
@@ -576,14 +581,12 @@ def _unary_translations(alg):
     2**53, and above that a rounding miss only keeps a map that could have
     been dropped."""
     k = alg.size
-    # alg.tables in the least dtype, not np_table, which would keep F(n)'s
-    # int64 tables cached: lattice benchmark peak RSS 47.3 -> 48.9 MB
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
     # return_index: numpy's unique without index outputs imports numpy.ma
     rows = np.unique(np.concatenate([ident[None], *(
-        np.moveaxis(np.array(tab, ident.dtype).reshape((k,) * r), pos, -1).reshape(-1, k)
-        for (_, r), tab in zip(alg.signature.symbols, alg.tables) for pos in range(r)
-    )]), axis=0, return_index=True)[0]
+        np.moveaxis(alg._np_tables[s], pos, -1).reshape(-1, k)
+        for s, r in alg.signature.symbols for pos in range(r)
+    )], dtype=ident.dtype, casting="unsafe"), axis=0, return_index=True)[0]
     rows = rows[(rows != ident).any(axis=1)]
     m = len(rows)
     w = np.arange(1, k + 1) ** 2 * 40503 % 1048573
@@ -656,7 +659,7 @@ def _closure(images, x, y, rows, known=None):
     return rep.reshape(rows, k) - ident[::k, None]
 
 
-def _principals(alg, budget, gens=None):
+def _principals(alg, budget):
     """The distinct principal congruences Cg(a, b) of alg, a < b, as rows
     of least-member arrays in order of discovery; a generating pair (a, b)
     of each row; and of_pair, which holds the row of Cg(a, b) at a*k + b.
@@ -667,15 +670,16 @@ def _principals(alg, budget, gens=None):
     pair with no closure. The other pairs go to one _closure call with a
     row each. BudgetExceeded when the principals outgrow budget.
 
-    gens, automorphisms of alg as rows of images, fill of_pair by orbits:
+    The automorphisms of alg, as rows of images, fill of_pair by orbits:
     sigma Cg(a, b) = Cg(sigma a, sigma b) is Cg(a, b) read through sigma^-1.
     Each new row is moved by every generator (acts[r, i]: row r moved by
     gens[i]), and an unknown image joins the rows with its pair moved. The
     pairs settled for b, and those they fill, are then pushed through every
-    generator until nothing new is filled. No gens: the plain route."""
+    generator until nothing new is filled. A FreeAlgebra gives its
+    substitution automorphisms; a FiniteAlgebra gives none, the plain route."""
     k = alg.size
     images = alg._translations
-    gens = np.empty((0, k), dtype=np.int64) if gens is None else gens
+    gens = getattr(alg, "_automorphisms", np.empty((0, k), dtype=np.int64))
     inverse, g = np.argsort(gens, axis=1), len(gens)
     # moved[i, a*k + b]: the code of the pair (sigma_i a, sigma_i b), sorted
     u, v = gens.astype(np.int32)[:, :, None], gens.astype(np.int32)[:, None, :]
@@ -781,23 +785,23 @@ def _join_rows(gens, budget):
     return np.frombuffer(b"".join(found), ident.dtype).reshape(-1, k)
 
 
-def _congruence_rows(alg, budget, gens=None):
+def _congruence_rows(alg, budget):
     """Every congruence of alg as a least-member row, the rows sorted as
     big-endian bytes, which is the order of their labels; an empty alg has
     the one empty row.
 
     The principal congruences come from _principals, by orbits of the
-    automorphisms gens if given: a known principal settles most pairs
-    outright, and the rest of one b go to one closure call. Every
-    congruence is a join of join-irreducible ones, and those are
-    principal, so _join_rows builds the lattice from the principals that
-    are not the join of the principals strictly below them, found from
-    one generating pair per principal: L congruences from J
-    join-irreducibles take fewer than J * L row joins. BudgetExceeded
+    substitution automorphisms when alg is a FreeAlgebra: a known
+    principal settles most pairs outright, and the rest of one b go to one
+    closure call. Every congruence is a join of join-irreducible ones, and
+    those are principal, so _join_rows builds the lattice from the
+    principals that are not the join of the principals strictly below
+    them, found from one generating pair per principal: L congruences from
+    J join-irreducibles take fewer than J * L row joins. BudgetExceeded
     when the principals or the lattice do not fit in budget."""
     if alg.size == 0:
         return np.empty((1, 0), dtype=np.uint8)
-    reps, pairs, _ = _principals(alg, budget, gens)
+    reps, pairs, _ = _principals(alg, budget)
     rows = _join_rows(reps[_join_irreducibles(reps, pairs)], budget)
     return rows[np.argsort(rows.astype(rows.dtype.newbyteorder(">")).view(
         np.dtype((np.void, rows[0].nbytes))).ravel())]

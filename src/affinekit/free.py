@@ -48,6 +48,7 @@ from .core import (
     _digits,
     _first_rows,
     _frozen,
+    _unary_translations,
     encode_point,
     format_term,
 )
@@ -120,19 +121,20 @@ class FreeAlgebra:
         return self._matrix
 
     def as_algebra(self):
-        """The free algebra as a FiniteAlgebra on element indices, with
-        operations acting pointwise."""
+        """A FiniteAlgebra copy on element indices, operations acting
+        pointwise, for results that hold one; routines take F(n) itself."""
         if self._algebra is None:
-            self._algebra = FiniteAlgebra(
-                self.signature,
-                self.size,
-                tuple(tuple(t.ravel().tolist()) for t in self._tables),
-                name=f"F_{self.generator.name or 'G'}({self.arity})",
-            )
+            tables = tuple(tuple(t.ravel().tolist()) for t in self._tables)
+            name = f"F_{self.generator.name or 'G'}({self.arity})"
+            self._algebra = FiniteAlgebra(self.signature, self.size, tables, name=name)
         return self._algebra
 
     def witness_term(self, p):
         return self.elements[p].witness
+
+    @cached_property
+    def _translations(self):
+        return _frozen(_unary_translations(self))
 
     @cached_property
     def _automorphisms(self):
@@ -178,6 +180,8 @@ def free_algebra(generator, arity, budget=DEFAULT_BUDGET):
 def _free_cached(generator, arity, budget):
     k = generator.size
     npoints = k ** arity
+    if npoints > budget:  # before the (arity, npoints) coordinates of _digits
+        raise BudgetExceeded(f"free algebra exceeds budget {budget}")
     dtype = np.min_scalar_type(k - 1)
     rows = []
     witnesses = []
@@ -308,6 +312,8 @@ def ground_space(generator, ground, arity, budget=DEFAULT_BUDGET):
 @lru_cache(maxsize=32)
 def _ground_cached(generator, ground, arity, budget):
     free = free_algebra(generator, arity, budget)
+    if ground.size ** arity > budget:
+        raise BudgetExceeded(f"ground points exceed budget {budget}")
     coords = _digits((ground.size,) * arity)
     ev = _replay(free, ground, coords)
     # column a is a homomorphism sending x_i to a_i: check the generators,
@@ -354,10 +360,6 @@ def enumerate_homs_free(free, target, budget=DEFAULT_BUDGET):
     """All homomorphisms from a free algebra into target, one per point of
     target^arity (in point-code order). Raises NotInVariety when any
     assignment fails to extend."""
-    if target.size ** free.arity > budget:
-        raise BudgetExceeded(
-            f"{target.size ** free.arity} assignments exceed budget {budget}"
-        )
     gs = ground_space(free.generator, target, free.arity, budget)
     gs.require_ok()
     falg = free.as_algebra()
@@ -381,5 +383,5 @@ def substitute(free_src, p, images, free_dst):
             f"{len(images)} images for {free_src.arity} generators"
         )
     images = np.asarray(images, dtype=np.int64)
-    out = _replay(free_src, free_dst.as_algebra(), images)[np.asarray(p, dtype=np.int64)]
+    out = _replay(free_src, free_dst, images)[np.asarray(p, dtype=np.int64)]
     return int(out) if out.ndim == 0 else out

@@ -168,10 +168,10 @@ class PresentedAlgebra:
     theta: Partition
 
     def __post_init__(self):
-        falg = self.space.free.as_algebra()
-        if self.theta.size != falg.size:
+        free = self.space.free
+        if self.theta.size != free.size:
             raise ShapeMismatch("partition does not fit the free algebra")
-        if not self.theta.is_congruence_of(falg):
+        if not self.theta.is_congruence_of(free):
             raise NotACongruence("the partition is not a congruence")
 
     def quotient(self):

@@ -112,7 +112,7 @@ def _lattice(space, budget):
     _congruence_rows, its principals found by orbits of its substitution
     automorphisms, in all_congruences' order; their distinct V masks; the
     index of each one's mask; and the radical C(V) of each as a row."""
-    rows = _congruence_rows(space.free.as_algebra(), budget, space.free._automorphisms)
+    rows = _congruence_rows(space.free, budget)
     space.require_ok()
     masks, inv = np.unique(_v_masks(space, rows), axis=0, return_inverse=True)
     return rows, masks, inv, _c_rows(space, masks)

@@ -8,8 +8,9 @@ package's naturality sweep one square at a time through its single-arrow
 functors and composition; free_bfs, the full-round clone BFS that the
 package ran before its semi-naive rounds; join_irreducibles, the all-rows test that the
 package ran before it kept a generating pair for each principal
-congruence; and stone_report, the per-congruence, per-subset and per-pair
-loop that stone_demo ran before its array sweeps.
+congruence; stone_report, the per-congruence, per-subset and per-pair
+loop that stone_demo ran before its array sweeps; and term_pointwise, the
+pointwise evaluation that term parsing ran before it evaluated in F(n).
 
 Run as a script to print the frozen constants used in the test suite.
 """
@@ -817,6 +818,21 @@ def relation_fault(size, pairs):
             return "pairs must be sorted and distinct"
         last = p
     return None
+
+
+def term_pointwise(space, term):
+    """The element of F(n) that term denotes, by the route cli.term_to_element
+    took before it evaluated the term once in F(n): the term evaluated in
+    the generator at every point of G^n, in code order, then that value
+    table looked up among F(n)'s elements. Errors are those of the first
+    point's evaluation."""
+    from affinekit.core import decode_point, evaluate_term
+
+    g, n = space.free.generator, space.free.arity
+    table = tuple(
+        evaluate_term(g, term, decode_point(p, g.size, n)) for p in range(g.size ** n)
+    )
+    return space.free.index_of_table(table)
 
 
 if __name__ == "__main__":

@@ -21,9 +21,12 @@ from affinekit.cli import (
     algebra_from_dict,
     main,
     parse_term,
+    term_to_element,
 )
 from affinekit.core import App, Var
-from affinekit.errors import ParseError
+from affinekit.errors import (AffineError, ArityMismatch, ParseError, UnknownSymbol,
+                              VariableOutOfRange)
+from affinekit.free import ground_space
 
 import oracles
 from test_clone import generators
@@ -65,6 +68,56 @@ def test_parse_term_errors():
     for bad in ["", "and(x0", "and(x0,)", "x0)", "and(x0,x1)x0", "f(*)", "(x0)"]:
         with pytest.raises(ParseError):
             parse_term(bad)
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the AffineError it raises."""
+    try:
+        return f(*args)
+    except AffineError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def terms(draw, g, n, depth=3):
+    """A term over g's symbols and x0..x(n-1); now and then a fault: an
+    unknown symbol, a wrong number of arguments or a variable out of range."""
+    kind = draw(st.sampled_from(["var", "app", "app", "app", "unknown", "arity", "range"]))
+    if kind == "unknown":
+        return App("nope", ())
+    if kind == "range":
+        return Var(n + draw(st.integers(0, 2)))
+    if kind == "var" or depth == 0:
+        return Var(draw(st.integers(0, max(n - 1, 0))))  # x0 is out of range at n = 0
+    sym, r = draw(st.sampled_from(g.signature.symbols))
+    if kind == "arity":
+        r = r + 1 if r == 0 or draw(st.booleans()) else r - 1
+    return App(sym, tuple(draw(terms(g, n, depth - 1)) for _ in range(r)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_term_to_element_matches_the_pointwise_route_on_random_algebras(data):
+    g, n = data.draw(generators())
+    space = ground_space(g, g, n)
+    term = data.draw(terms(g, n))
+    got = outcome(term_to_element, space, term)
+    assert got == outcome(oracles.term_pointwise, space, term)
+    assert type(got) in (int, tuple)
+
+
+@pytest.mark.parametrize("name, n, texts", [
+    ("bool2", 2, ["x0", "1", "and(x0, not(x1))", "or(x1, and(x0, 1))",
+                  "xor(x0, x0)", "not(x0, x1)", "x2"]),
+    ("z4", 1, ["x0", "0", "add(x0, neg(x0))", "add(add(x0, x0), 0)",
+               "mul(x0, x0)", "neg()", "x1"]),
+])
+def test_term_to_element_matches_the_pointwise_route(name, n, texts):
+    space = ground_space(affinekit.builtin(name), affinekit.builtin(name), n)
+    got = [outcome(term_to_element, space, parse_term(text)) for text in texts]
+    assert got == [outcome(oracles.term_pointwise, space, parse_term(text)) for text in texts]
+    assert all(type(e) is int for e in got[:4])
+    assert [e[0] for e in got[4:]] == [UnknownSymbol, ArityMismatch, VariableOutOfRange]
 
 
 # --- golden outputs ---------------------------------------------------------
@@ -491,6 +544,18 @@ def test_exit_budget(capsys):
                                 "--budget", "10"])
     assert code == 3
     assert "budget" in err
+
+
+# the points of G^n (A^n) are charged before their coordinates are listed:
+# these asked for 320 TiB, 240 GiB, 6.25 GiB and 1.5 GiB of them
+@pytest.mark.parametrize("argv", [
+    ["free", "--builtin", "bool2", "--arity", "40"],
+    ["stone", "--arity", "30"],
+    ["zariski", "--builtin", "bool2", "--arity", "25"],
+    ["cop", "--builtin", "z4", "--arity", "12"],
+])
+def test_point_tables_over_budget_exit_3(capsys, argv):
+    assert run(capsys, argv) == (3, "", "error: free algebra exceeds budget 1000000\n")
 
 
 def test_exit_help_and_errors_to_stderr(capsys):

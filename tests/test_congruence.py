@@ -15,6 +15,7 @@ against the brute-force oracles.
 
 import hashlib
 import json
+import random
 import tracemalloc
 from unittest import mock
 
@@ -288,40 +289,47 @@ def test_principal_table_of_random_algebras_matches_oracle(generator):
 # the orbit route: principals filled by orbits of substitution automorphisms
 
 
-def check_orbit_route(free_alg):
-    """_principals with F(n)'s automorphisms gives every pair a < b the
-    principal of the plain route, as many principals and the same lattice,
-    and holds the principal count to the budget."""
-    alg, gens = free_alg.as_algebra(), free_alg._automorphisms
+def check_orbit_route(free_alg, drawn):
+    """_principals on F(n), by orbits of its automorphisms, gives every pair
+    a < b the principal of the plain route on its as_algebra() copy, as
+    many principals and the same lattice, and holds the principal count to
+    the budget; all_congruences, and generate_congruence of the drawn
+    pairs, agree on F(n) and on the copy."""
+    alg = free_alg.as_algebra()
     k = alg.size
     plain, _, plain_of = _principals(alg, DEFAULT_BUDGET)
-    reps, pairs, of_pair = _principals(alg, DEFAULT_BUDGET, gens)
+    reps, pairs, of_pair = _principals(free_alg, DEFAULT_BUDGET)
     upper = np.triu(np.ones((k, k), dtype=bool), 1).ravel()
     assert len(reps) == len(plain) and (of_pair[~upper] == -1).all()
     np.testing.assert_array_equal(reps[of_pair[upper]], plain[plain_of[upper]])
     assert (of_pair[pairs[:, 0] * k + pairs[:, 1]] == np.arange(len(reps))).all()
-    np.testing.assert_array_equal(_congruence_rows(alg, DEFAULT_BUDGET, gens),
+    np.testing.assert_array_equal(_congruence_rows(free_alg, DEFAULT_BUDGET),
                                   _congruence_rows(alg, DEFAULT_BUDGET))
     if len(reps):
-        assert len(_principals(alg, len(reps), gens)[0]) == len(reps)
+        assert len(_principals(free_alg, len(reps))[0]) == len(reps)
         message = f"^congruence lattice exceeds budget {len(reps) - 1}$"
         with pytest.raises(BudgetExceeded, match=message):
-            _principals(alg, len(reps) - 1, gens)
+            _principals(free_alg, len(reps) - 1)
+    assert all_congruences(free_alg) == all_congruences(alg)
+    assert generate_congruence(free_alg, drawn) == generate_congruence(alg, drawn)
 
 
 @pytest.mark.parametrize("name, n", [(name, n) for name in list_builtins() for n in (1, 2, 3)]
                          + [("distlat2", 4), ("z4", 4)])
 def test_orbit_route_gives_the_plain_principals(name, n):
-    check_orbit_route(free_algebra(builtin(name), n))
+    f = free_algebra(builtin(name), n)
+    rng = random.Random(f"{name}@{n}")
+    check_orbit_route(f, [(rng.randrange(f.size), rng.randrange(f.size)) for _ in range(3)])
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(generators())
-def test_orbit_route_gives_the_plain_principals_on_random_algebras(generator):
+@given(generators(), st.data())
+def test_orbit_route_gives_the_plain_principals_on_random_algebras(generator, data):
     g, n = generator
     f = free_algebra(g, n)
     if f.size:
-        check_orbit_route(f)
+        element = st.integers(0, f.size - 1)
+        check_orbit_route(f, data.draw(st.lists(st.tuples(element, element), max_size=3)))
 
 
 def test_generate_congruence_on_the_largest_free_algebra():
@@ -404,11 +412,14 @@ TRANSLATION_DIGESTS = {
 
 @pytest.mark.parametrize("name, n", sorted(TRANSLATION_DIGESTS))
 def test_translations_match_frozen_digest(name, n):
-    images = _unary_translations(free(name, n))
-    assert images.dtype == np.int32 and images.flags.c_contiguous
-    columns, want = TRANSLATION_DIGESTS[name, n]
-    assert images.shape[1] == columns
-    assert hashlib.sha256(images.tobytes()).hexdigest()[:16] == want
+    # from the as_algebra() copy, and as F(n)'s own cached table
+    f = free_algebra(builtin(name), n)
+    for images in (_unary_translations(free(name, n)), f._translations):
+        assert images.dtype == np.int32 and images.flags.c_contiguous
+        columns, want = TRANSLATION_DIGESTS[name, n]
+        assert images.shape[1] == columns
+        assert hashlib.sha256(images.tobytes()).hexdigest()[:16] == want
+    assert f._translations is images and not images.flags.writeable
 
 
 @pytest.mark.parametrize("name, n", [("bool2", 2), ("z4", 2), ("distlat2", 3), ("semilat2", 4)])

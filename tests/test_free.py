@@ -3,6 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from affinekit.adjunction import AdjunctionReport, representability_check, verify_adjunction
+from affinekit.cli import main
 from affinekit.core import (
     App,
     FiniteAlgebra,
@@ -12,6 +14,7 @@ from affinekit.core import (
     decode_point,
     evaluate_term,
     is_homomorphism,
+    power_algebra,
     quotient_algebra,
     Partition,
 )
@@ -22,6 +25,7 @@ from affinekit.errors import (
     ValidationError,
 )
 from affinekit.free import (
+    FreeAlgebra,
     enumerate_homs_free,
     free_algebra,
     ground_space,
@@ -29,7 +33,8 @@ from affinekit.free import (
     substitute,
     verify_ground,
 )
-from affinekit.instances import builtin
+from affinekit.galois import AffineSubset, Relation, c_operator
+from affinekit.instances import builtin, classify_fixed, stone_demo
 
 import oracles
 from test_core import bool2, semilat2, z4, _ops_dict
@@ -155,6 +160,49 @@ def test_free_algebra_budget_edges():
     # F_z4(1) has 4 elements; the fourth found overruns a budget of 3
     with pytest.raises(BudgetExceeded, match="^free algebra exceeds budget 3$"):
         free_algebra(z4(), 1, budget=3)
+
+
+def test_budget_bounds_the_points():
+    # a constant-only algebra has n + 1 elements over 2**n points: the
+    # points, listed before the clone search, meet the budget first
+    const = FiniteAlgebra.make(2, [("c", 0, (0,))])
+    assert free_algebra(const, 4, budget=16).size == 5
+    with pytest.raises(BudgetExceeded, match="^free algebra exceeds budget 15$"):
+        free_algebra(const, 4, budget=15)
+    # the ground's points too: 16 of z2^4 against F_z2(1)'s 2, also as
+    # the assignments that enumerate_homs_free lists
+    power = power_algebra(z2(), 4)
+    assert ground_space(z2(), power, 1, budget=16).npoints == 16
+    assert len(enumerate_homs_free(free_algebra(z2(), 1), power, budget=16)) == 16
+    with pytest.raises(BudgetExceeded, match="^ground points exceed budget 15$"):
+        ground_space(z2(), power, 1, budget=15)
+    with pytest.raises(BudgetExceeded, match="^ground points exceed budget 15$"):
+        enumerate_homs_free(free_algebra(z2(), 1), power, budget=15)
+
+
+def test_routines_take_the_free_algebra_itself(monkeypatch, capsys):
+    """No route converts F(n) with as_algebra(): with that copy patched to
+    raise, each of these still gives its result."""
+    def no_copy(free):
+        raise AssertionError(f"as_algebra() of F({free.arity}) called")
+
+    monkeypatch.setattr(FreeAlgebra, "as_algebra", no_copy)
+    assert stone_demo(3).bijective
+    assert classify_fixed(builtin("z4"), builtin("z2-in-z4"), 3).fixed_count == 16
+    for argv, first in [
+        (["null", "--builtin", "z4", "--ground", "z2-in-z4", "--pairs", ""],
+         "congruence generated by the input has 4 classes\n"),
+        (["adjoint", "--builtin", "bool2", "--points", "1", "--equations", "x0 = not(not(x0))"],
+         "presented-side arrows: 2\n"),
+    ]:
+        assert main(argv) == 0 and capsys.readouterr().out.startswith(first)
+    gs = ground_space(bool2(), bool2(), 2)
+    s = AffineSubset.of(gs, [0, 3])
+    y = Relation.from_partition(gs, c_operator(s))
+    assert verify_adjunction(s, y) == AdjunctionReport(4, 4, True, True)
+    assert representability_check(y).match
+    x0, x1 = gs.free.var_positions
+    assert substitute(gs.free, x0, (x1, x0), gs.free) == x1
 
 
 def test_free_algebra_is_cached():
