@@ -289,15 +289,20 @@ def _least_members(labels):
 
 
 def _row_keys(rows):
-    """One void key per row of a 2-D array with columns: equal keys, equal rows."""
-    rows = np.ascontiguousarray(rows)
+    """One void key per row of a 2-D array: equal keys, equal rows. Rows
+    of no columns are all the empty row, and share one key."""
+    rows = np.ascontiguousarray(rows) if rows.shape[1] else np.zeros((len(rows), 1), np.uint8)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _ordered_keys(rows):
+    """_row_keys of the rows made big-endian, which sort as the rows do column
+    by column: np.unique of them orders as np.unique(rows, axis=0), faster."""
+    return _row_keys(rows.astype(rows.dtype.newbyteorder(">"), copy=False))
 
 
 def _row_least(rows):
     """Least members of equal rows of a 2-D array: the first j with row i's row."""
-    if not rows.shape[1]:  # every row is the empty row
-        return np.zeros(len(rows), dtype=np.int64)
     _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     return first[inverse]
 
@@ -305,9 +310,9 @@ def _row_least(rows):
 def _first_rows(rows):
     """The index of the first of each distinct row of a 2-D array, in
     increasing order: the fixed points of _row_least, without its inverse."""
-    if len(rows) > 1 and rows.shape[1]:
+    if len(rows) > 1:
         return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
-    return np.arange(min(len(rows), 1))  # at most one row, or every row is the empty row
+    return np.arange(len(rows))
 
 
 def _representatives(rep):
@@ -582,11 +587,11 @@ def _unary_translations(alg):
     been dropped."""
     k = alg.size
     ident = np.arange(k, dtype=np.min_scalar_type(k - 1))
-    # return_index: numpy's unique without index outputs imports numpy.ma
-    rows = np.unique(np.concatenate([ident[None], *(
+    rows = np.concatenate([ident[None], *(
         np.moveaxis(alg._np_tables[s], pos, -1).reshape(-1, k)
         for s, r in alg.signature.symbols for pos in range(r)
-    )], dtype=ident.dtype, casting="unsafe"), axis=0, return_index=True)[0]
+    )], dtype=ident.dtype, casting="unsafe")
+    rows = rows[np.unique(_ordered_keys(rows), return_index=True)[1]]
     rows = rows[(rows != ident).any(axis=1)]
     m = len(rows)
     w = np.arange(1, k + 1) ** 2 * 40503 % 1048573
@@ -747,17 +752,27 @@ def _join_irreducibles(reps, pairs):
     """The indices, ascending, of the rows of reps (distinct principal
     congruences, row j generated by pairs[j]) that are not the join of the
     rows strictly below them. Row j lies within row i when row i holds
-    pairs[j]. The rows are taken from the finest up, and a row is the join
-    of the rows strictly below it exactly when it is the join of the
-    join-irreducible ones among them, so only those are joined."""
-    ident = np.arange(reps.shape[1])
+    pairs[j]. A row is the join of the rows strictly below it exactly when
+    it is the join of the join-irreducible ones among them, and no two
+    distinct rows of one block count lie one below the other. So the rows
+    go from the finest up a block count at a time, a level a chunk at a
+    time, each joining the finer join-irreducibles it holds in one flat
+    _settle (row i at offset i*k)."""
+    k = reps.shape[1]
+    ident = np.arange(k)
+    blocks = (reps == ident).sum(axis=1)
+    order = np.argsort(-blocks, kind="stable")
     found = np.empty(0, dtype=np.int64)
-    for i in np.argsort(-(reps == ident).sum(axis=1), kind="stable"):
+    for level in np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1):
         a, b = pairs[found].T
-        below = reps[found[reps[i, a] == reps[i, b]]]
-        join = _settle(ident, np.arange(below.size) % len(ident), below.ravel())
-        if not np.array_equal(join, reps[i]):
-            found = np.append(found, i)
+        for rows in _chunks(level, k * (len(found) + 1)):
+            level_reps = reps[rows]  # row i of the chunk holds pairs[found[j]]
+            i, j = np.nonzero(level_reps[:, a] == level_reps[:, b])
+            below = reps[found[j]]
+            e, x = np.nonzero(below != ident)
+            off = np.arange(0, len(rows) * k, k)[:, None]
+            rep = _settle((off + ident).ravel(), i[e] * k + x, i[e] * k + below[e, x])
+            found = np.append(found, rows[(rep.reshape(-1, k) - off != level_reps).any(axis=1)])
     return np.sort(found)
 
 
@@ -803,8 +818,7 @@ def _congruence_rows(alg, budget):
         return np.empty((1, 0), dtype=np.uint8)
     reps, pairs, _ = _principals(alg, budget)
     rows = _join_rows(reps[_join_irreducibles(reps, pairs)], budget)
-    return rows[np.argsort(rows.astype(rows.dtype.newbyteorder(">")).view(
-        np.dtype((np.void, rows[0].nbytes))).ravel())]
+    return rows[np.argsort(_ordered_keys(rows))]
 
 
 def all_congruences(alg, budget=DEFAULT_BUDGET):

@@ -90,10 +90,6 @@ class FreeAlgebra:
         self._recipes = recipes
         self._tables = tables
         self._np_tables = dict(zip(generator.signature.names, tables))  # as in FiniteAlgebra
-        self._matrix = _frozen(np.array(
-            [e.table for e in elements], dtype=np.int64
-        ).reshape(len(elements), generator.size ** arity))
-        self._index = {row.tobytes(): i for i, row in enumerate(self._matrix)}
         self._algebra = None
 
     @property
@@ -119,6 +115,15 @@ class FreeAlgebra:
         """Element value tables stacked into a read-only array
         (size x |G|^arity)."""
         return self._matrix
+
+    @cached_property
+    def _matrix(self):
+        return _frozen(np.array([e.table for e in self.elements], dtype=np.int64)
+                       .reshape(self.size, self.generator.size ** self.arity))
+
+    @cached_property
+    def _index(self):
+        return {row.tobytes(): i for i, row in enumerate(self._matrix)}
 
     def as_algebra(self):
         """A FiniteAlgebra copy on element indices, operations acting

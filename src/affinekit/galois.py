@@ -25,7 +25,6 @@ from .core import (
     _digits,
     _encode,
     _frozen,
-    _least_members,
     _partitions,
     _row_least,
     decode_point,
@@ -210,28 +209,6 @@ def _v_masks(space, rows):
     (ev[rows] == ev).all over the elements, a chunk at a time."""
     ev = space.ev
     return np.concatenate([(ev[chunk] == ev).all(axis=1) for chunk in _chunks(rows, ev.size)])
-
-
-def _c_rows(space, masks):
-    """C of many point sets, from bool point masks, as least-member rows. An
-    element's key is its values at the mask's points in radix |A|, (mask *
-    |A|**a) @ ev.T; an int64 holds the points of 63 bits, so more points
-    take several key columns. Their tuples are ranked by one lexsort and a
-    neighbour diff, and _least_members gets the ranks. The rows come in the
-    least dtype that holds the elements."""
-    ev, base, m = space.ev, space.ground.size, space.free.size
-    per = 63 // max((base - 1).bit_length(), 1)
-    out = []
-    for mask in _chunks(masks, ev.size):
-        keys = np.stack([((mask[:, a:a + per] * base ** np.arange(len(ev.T[a:a + per])))
-                          @ ev.T[a:a + per]).ravel()
-                         for a in range(0, space.npoints or 1, per)], axis=1)
-        order = np.lexsort(keys.T)
-        keys = keys[order]
-        ids = np.empty(len(keys), dtype=np.int64)
-        ids[order] = np.cumsum((np.diff(keys, axis=0, prepend=keys[:1]) != 0).any(axis=1))
-        out.append(_least_members(ids.reshape(len(mask), m)).astype(np.min_scalar_type(m - 1)))
-    return np.concatenate(out)
 
 
 def zariski_closure(subset):

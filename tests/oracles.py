@@ -9,8 +9,10 @@ functors and composition; free_bfs, the full-round clone BFS that the
 package ran before its semi-naive rounds; join_irreducibles, the all-rows test that the
 package ran before it kept a generating pair for each principal
 congruence; stone_report, the per-congruence, per-subset and per-pair
-loop that stone_demo ran before its array sweeps; and term_pointwise, the
-pointwise evaluation that term parsing ran before it evaluated in F(n).
+loop that stone_demo ran before its array sweeps; term_pointwise, the
+pointwise evaluation that term parsing ran before it evaluated in F(n);
+and _c_rows, the sweep that computed C of every V mask before classify
+and stone read the radicals off the lattice.
 
 Run as a script to print the frozen constants used in the test suite.
 """
@@ -583,19 +585,48 @@ def join_irreducibles(reps):
     """The rows of reps (distinct congruences as least-member arrays) that
     are not the join of the rows strictly below them. Row j lies below row
     i when row i puts every element in one block with its row-j
-    representative: a test over every pair of rows and every element."""
+    representative: a test over every pair of rows and every element. The
+    rows are distinct, so only row i itself is not strictly below it."""
     import numpy as np
 
     from affinekit.core import _settle
 
     ident = np.arange(reps.shape[1])
     out = []
-    for rep in reps:
-        below = reps[(rep[reps] == rep).all(axis=1) & (reps != rep).any(axis=1)]
+    for i, rep in enumerate(reps):
+        below = (np.take(rep, reps) == rep).all(axis=1)
+        below[i] = False
+        below = reps[below]
         join = _settle(ident, np.arange(below.size) % len(ident), below.ravel())
         if not np.array_equal(join, rep):
             out.append(rep)
     return out
+
+
+def _c_rows(space, masks):
+    """C of many point sets, from bool point masks, as least-member rows. An
+    element's key is its values at the mask's points in radix |A|, (mask *
+    |A|**a) @ ev.T; an int64 holds the points of 63 bits, so more points
+    take several key columns. Their tuples are ranked by one lexsort and a
+    neighbour diff, and _least_members gets the ranks. The rows come in the
+    least dtype that holds the elements."""
+    import numpy as np
+
+    from affinekit.core import _chunks, _least_members
+
+    ev, base, m = space.ev, space.ground.size, space.free.size
+    per = 63 // max((base - 1).bit_length(), 1)
+    out = []
+    for mask in _chunks(masks, ev.size):
+        keys = np.stack([((mask[:, a:a + per] * base ** np.arange(len(ev.T[a:a + per])))
+                          @ ev.T[a:a + per]).ravel()
+                         for a in range(0, space.npoints or 1, per)], axis=1)
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[order] = np.cumsum((np.diff(keys, axis=0, prepend=keys[:1]) != 0).any(axis=1))
+        out.append(_least_members(ids.reshape(len(mask), m)).astype(np.min_scalar_type(m - 1)))
+    return np.concatenate(out)
 
 
 def stable_classes(congruences, size, pairs):

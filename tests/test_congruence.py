@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from affinekit import core
 from affinekit.core import (
@@ -135,13 +136,51 @@ def test_join_irreducibles_of_known_lattices():
 
 @pytest.mark.parametrize("name", list_builtins())
 def test_join_irreducibles_from_generating_pairs_match_oracle(name):
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4) if name in ("distlat2", "z4") else (1, 2, 3):
         alg = free(name, n)
         k = alg.size
         reps, pairs, of_pair = _principals(alg, DEFAULT_BUDGET)
         assert (of_pair[pairs[:, 0] * k + pairs[:, 1]] == np.arange(len(reps))).all()
         got = [reps[i].tolist() for i in _join_irreducibles(reps, pairs)]
         assert got == [rep.tolist() for rep in oracles.join_irreducibles(reps)]
+
+
+@pytest.mark.parametrize("name, n", [("bool2", 3), ("distlat2", 3), ("z4", 4), ("semilat2", 4)])
+def test_join_irreducibles_settle_once_per_level_chunk(name, n):
+    # rows of one block count cannot lie one below the other, so a level
+    # is tested in one flat _settle a chunk at a time, not a row at a time
+    reps, pairs, _ = _principals(free(name, n), DEFAULT_BUDGET)
+    want = _join_irreducibles(reps, pairs)
+    levels = len(set((reps == np.arange(reps.shape[1])).sum(axis=1).tolist()))
+    split = core._chunks
+    for size in (1, 4096, core._CHUNK):
+        chunks = []
+        with (mock.patch.object(core, "_CHUNK", size),
+              mock.patch.object(core, "_chunks",
+                                side_effect=lambda *a: chunks.append(split(*a)) or chunks[-1]),
+              mock.patch.object(core, "_settle", wraps=core._settle) as settle):
+            assert np.array_equal(_join_irreducibles(reps, pairs), want)
+        assert len(chunks) == levels
+        assert settle.call_count <= sum(map(len, chunks))
+        if size == core._CHUNK:
+            assert settle.call_count < len(reps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ordered_keys_give_the_rows_of_unique_over_axis_0(data):
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.bool_]))
+    shape = data.draw(st.tuples(st.integers(0, 40), st.integers(0, 6)))
+    # mostly a few values, so that rows repeat and tie on leading columns;
+    # 255 and 256 order one way as numbers and the other way as
+    # little-endian bytes
+    top = 1 if dtype is np.bool_ else np.iinfo(dtype).max
+    values = st.sampled_from(sorted({0, 1, min(255, top), min(256, top)})) | st.integers(0, top)
+    a = data.draw(arrays(dtype, shape, elements=values))
+    want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+    _, first, inverse = np.unique(core._ordered_keys(a), return_index=True, return_inverse=True)
+    assert np.array_equal(a[first], want)
+    assert np.array_equal(inverse, want_inverse.ravel())
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from affinekit import core
 from affinekit.core import (
     App,
     FiniteAlgebra,
@@ -357,3 +360,15 @@ def test_all_congruences_empty_and_trivial():
     assert all_congruences(empty) == (Partition(0, ()),)
     one = FiniteAlgebra.make(1, [("and", 2, (0,))])
     assert all_congruences(one) == (Partition(1, (0,)),)
+
+
+def test_no_unique_over_an_axis_in_the_package():
+    # np.unique(rows, axis=0) sorts a structured view of the rows, 10-16
+    # times the cost of np.unique over core._ordered_keys, which gives the
+    # same order: 258 ms against 16 ms on the 65,536 V masks of F_distlat2(4)
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "unique" and any(kw.arg == "axis" for kw in node.keywords)]
+    assert calls == []

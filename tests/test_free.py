@@ -26,6 +26,8 @@ from affinekit.errors import (
 )
 from affinekit.free import (
     FreeAlgebra,
+    _free_cached,
+    _ground_cached,
     enumerate_homs_free,
     free_algebra,
     ground_space,
@@ -360,3 +362,20 @@ def test_substitution_automorphisms(name, n):
         assert np.array_equal(substitute(free, every, s[list(free.var_positions)], free), s)
         for (_, r), table in zip(free.signature.symbols, free._tables):
             assert np.array_equal(s[table], _apply_all(table, s, r))
+
+
+def test_table_matrix_and_index_are_built_when_first_read():
+    # no route in the package reads them; F_z4(5) held 16.1 MB and paid
+    # 36.6 ms for them when __init__ built them
+    _free_cached.cache_clear()
+    _ground_cached.cache_clear()
+    stone_demo(3)
+    classify_fixed(builtin("z4"), builtin("z2-in-z4"), 3)
+    for f in (free_algebra(builtin("bool2"), 3), free_algebra(builtin("z4"), 3)):
+        assert "_matrix" not in f.__dict__ and "_index" not in f.__dict__
+        want = np.array([e.table for e in f.elements], dtype=np.int64).reshape(f.size, -1)
+        got = f.table_matrix()
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert f.table_matrix() is got and not got.flags.writeable
+        assert f._index == {row.tobytes(): i for i, row in enumerate(want)}
+        assert [f.index_of_table(e.table) for e in f.elements] == list(range(f.size))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from affinekit import core
 from affinekit.core import (
+    DEFAULT_BUDGET,
     Homomorphism,
     Partition,
     _least_members,
@@ -29,7 +30,6 @@ from affinekit.galois import (
     AffineSubset,
     PresentedAlgebra,
     Relation,
-    _c_rows,
     _meet_irreducibles,
     _v_masks,
     birkhoff_transform,
@@ -46,7 +46,7 @@ from affinekit.galois import (
     zariski_report,
 )
 
-from affinekit.instances import builtin, list_builtins
+from affinekit.instances import _lattice, builtin, list_builtins
 
 import oracles
 from test_clone import ground_cases
@@ -460,13 +460,13 @@ def test_zariski_report_reaches_distlat2_at_arity_4():
 
 def check_sweeps(gs, masks=()):
     """V of every congruence against brute_v and v_of_partition, its radical
-    through the sweeps against radical_of_partition, and C of each extra
-    mask against c_operator."""
+    through oracles._c_rows against radical_of_partition, and C of each
+    extra mask against c_operator."""
     congruences = all_congruences(gs.free.as_algebra())
     labels = [th.labels for th in congruences]
     rows = _least_members(labels).reshape(len(congruences), gs.free.size)
     v = _v_masks(gs, rows)
-    radicals = _c_rows(gs, v)
+    radicals = oracles._c_rows(gs, v)
     ev = gs.ev.tolist()
     for th, mask, rad in zip(congruences, v, _partitions(radicals)):
         pts = tuple(np.flatnonzero(mask).tolist())
@@ -474,7 +474,7 @@ def check_sweeps(gs, masks=()):
         assert pts == oracles.brute_v(ev, gs.npoints, glued) == v_of_partition(gs, th).points
         assert rad == radical_of_partition(gs, th)
     masks = np.array(masks, dtype=bool).reshape(len(masks), gs.npoints)
-    for mask, part in zip(masks, _partitions(_c_rows(gs, masks)) if len(masks) else ()):
+    for mask, part in zip(masks, _partitions(oracles._c_rows(gs, masks)) if len(masks) else ()):
         subset = AffineSubset.of(gs, np.flatnonzero(mask))
         assert part == c_operator(subset)
 
@@ -490,6 +490,22 @@ def test_v_and_radical_sweeps_match_scalar_routes_on_random_algebras(case, data)
     # a chunk of one row, of a few rows, or the default
     with mock.patch.object(core, "_CHUNK", data.draw(st.sampled_from([1, 64, core._CHUNK]))):
         check_sweeps(gs, masks)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ground_cases())
+def test_lattice_radicals_are_the_fibre_maxima_on_random_algebras(case):
+    # _lattice reads C(V theta) off the lattice as the coarsest congruence
+    # with theta's V mask; C computed from the masks is the reference
+    g, n, ground, _ = case
+    gs = ground_space(g, ground, n)
+    assume(gs.ok and 0 < gs.free.size <= 12)
+    rows, masks, inv, radicals = _lattice(gs, DEFAULT_BUDGET)
+    assert np.array_equal(radicals, oracles._c_rows(gs, masks))
+    assert np.array_equal(masks[inv], _v_masks(gs, rows))
+    rad = _partitions(radicals)
+    for th, i in zip(_partitions(rows), inv.tolist()):
+        assert rad[i] == radical_of_partition(gs, th)
 
 
 @pytest.mark.parametrize("alg, n", [(z4, 3), (semilat2, 4)])

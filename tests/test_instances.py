@@ -167,6 +167,15 @@ def test_classify_fixed_matches_radical_of_partition_on_random_algebras(case):
     assert rep.fixed_count == sum(e.fixed for e in rep.entries)
 
 
+def test_classify_over_an_empty_ground():
+    # no points: every mask is the empty row, and the one congruence of
+    # F_semilat2(1), the identity, is its own radical
+    empty = FiniteAlgebra.make(0, [("and", 2, ())])
+    rep = classify_fixed(builtin("semilat2"), empty, 1)
+    assert (rep.total, rep.fixed_count) == (1, 1)
+    assert rep.entries[0].radical == rep.entries[0].partition == Partition(1, (0,))
+
+
 @pytest.mark.parametrize("name, count", [("distlat2", 256), ("z4", 129)])
 def test_classify_fixed_budget_is_the_lattice_size(monkeypatch, name, count):
     # the space is built under the default budget: the clone's operand
