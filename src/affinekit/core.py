@@ -138,6 +138,8 @@ class Signature:
         for s, r in self.symbols:
             if r < 0:
                 raise ValidationError(f"negative arity for {s!r}")
+            if r > 63:  # numpy takes at most 63 index arrays and 64 dimensions
+                raise ValidationError(f"arity {r} of {s!r} exceeds 63")
 
     def arity(self, name):
         for s, r in self.symbols:

@@ -48,6 +48,7 @@ from .core import (
     _digits,
     _first_rows,
     _frozen,
+    _row_keys,
     _unary_translations,
     encode_point,
     format_term,
@@ -238,9 +239,8 @@ def _free_cached(generator, arity, budget):
                 for o in operands[1:]:
                     cell = cell * k + stacked[o]
                 cand = op.take(cell)
-                keys = cand.view(np.dtype((np.void, cand.itemsize * npoints))).ravel()
                 uniq, first, inverse = np.unique(
-                    keys, return_index=True, return_inverse=True
+                    _row_keys(cand), return_index=True, return_inverse=True
                 )
                 ids = [index.get(key) for key in uniq.tolist()]
                 # new elements in the order of their first tuple

@@ -3,15 +3,16 @@
 Everything lives over a GroundSpace (free algebra F on n generators over G,
 ground algebra A, evaluation matrix ev). C sends a set of points to the
 kernel partition its evaluations induce on F; V sends a relation on F to
-the points where all its pairs evaluate equally. radical recomputes C∘V a
-second way, one point kernel at a time, so the fixed-point and radical
-tests stay independent of each other.
+the points where all its pairs evaluate equally. The radical of a
+congruence is C(V(theta)); nullstellensatz_check alone recomputes it a
+second way, as the meet of the point kernels of V(theta), so its
+fixed-point and radical tests stay independent of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import starmap
 from operator import ne
 
@@ -24,6 +25,7 @@ from .core import (
     _chunks,
     _digits,
     _encode,
+    _first_rows,
     _frozen,
     _partitions,
     _row_least,
@@ -223,13 +225,8 @@ def point_kernel(space, a):
 
 
 def radical_of_partition(space, part):
-    """C(V(theta)) computed the second way: meet of the point kernels of
-    V(theta), one point at a time."""
-    pts = v_of_partition(space, part).points
-    acc = Partition.total(space.free.size)
-    for a in pts:
-        acc = acc.meet(point_kernel(space, a))
-    return acc
+    """The radical C(V(theta)) of the partition theta."""
+    return c_operator(v_of_partition(space, part))
 
 
 def radical(rel):
@@ -251,19 +248,18 @@ def gelfand_evaluation(space, point):
             f"point has {len(point)} coordinates, expected {space.arity}"
         )
     a = encode_point(point, space.ground.size)
-    gamma, _, _ = _gelfand_parts(space, a)
-    return gamma
+    return _gelfand_parts(space, a)[0]
 
 
 def _gelfand_parts(space, a):
     kernel = point_kernel(space, a)
-    quot, proj = quotient_algebra(space.free.as_algebra(), kernel)
+    quot, _ = quotient_algebra(space.free.as_algebra(), kernel)
     reps = kernel._reps
     mapping = tuple(space.ev[reps, a].tolist())
     gamma = Homomorphism(quot, space.ground, mapping)
     if len(set(mapping)) != len(mapping) or not is_homomorphism(gamma):
         raise AssertionFailure("gelfand evaluation failed to embed the quotient")
-    return gamma, proj, kernel
+    return gamma, kernel
 
 
 def sgk_inverse(presented, e):
@@ -284,7 +280,7 @@ def sgk_inverse(presented, e):
         for i in range(space.arity)
     )
     a = encode_point(point, space.ground.size)
-    gamma, _, kernel = _gelfand_parts(space, a)
+    gamma, kernel = _gelfand_parts(space, a)
     if kernel != presented.theta:
         raise AssertionFailure(
             "kernel at the recovered point differs from the congruence"
@@ -312,8 +308,8 @@ def birkhoff_transform(presented, budget=DEFAULT_BUDGET):
     pts = v_of_partition(space, theta).points
 
     parts = [_gelfand_parts(space, a) for a in pts]
-    gammas = [gamma for gamma, _, _ in parts]
-    kernels = [kernel for _, _, kernel in parts]
+    gammas = [gamma for gamma, _ in parts]
+    kernels = [kernel for _, kernel in parts]
     factors = tuple(gamma.source for gamma in gammas)
 
     prod = product_algebra(
@@ -363,32 +359,28 @@ class NullstellensatzReport:
 
 def nullstellensatz_check(presented):
     """Evaluate the three characterizations of 'theta is closed'
-    independently and insist they agree:
+    independently, from one V(theta) and one point kernel per point of it,
+    and insist they agree:
       fixed      theta == C(V(theta)) by direct signature grouping,
       radical    theta == the meet of point kernels over V(theta),
       subdirect  the decomposition map is injective (it is always a
-                 homomorphism onto each factor; injectivity is the content).
+                 homomorphism onto each factor; injectivity is the content):
+                 theta's blocks have distinct columns of kernel classes.
     Any disagreement raises EquivalenceViolation."""
     space = presented.space
     theta = presented.theta
 
-    pts = v_of_partition(space, theta).points
-    fixed = c_operator(AffineSubset.of(space, pts)) == theta
-    rad = radical_of_partition(space, theta) == theta
+    pts = v_of_partition(space, theta)
+    kernels = [point_kernel(space, a) for a in pts.points]
+    fixed = c_operator(pts) == theta
+    rad = reduce(Partition.meet, kernels, Partition.total(theta.size)) == theta
 
-    kernels = [point_kernel(space, a) for a in pts]
-    for ker in kernels:
-        if not theta.refines(ker):
-            raise AssertionFailure("point kernel fails to contain theta")
-    nb = theta.num_blocks
-    reps = theta._reps.tolist()
-    tuples = set()
-    onto = all(
-        len({ker.labels[r] for r in reps}) == ker.num_blocks for ker in kernels
-    )
-    for r in reps:
-        tuples.add(tuple(ker.labels[r] for ker in kernels))
-    subdirect = len(tuples) == nb and onto
+    # a kernel containing theta makes sigma onto its factor: only injectivity is left
+    if not all(theta.refines(ker) for ker in kernels):
+        raise AssertionFailure("point kernel fails to contain theta")
+    classes = np.array([ker.labels for ker in kernels], dtype=np.int64).reshape(
+        len(kernels), theta.size)[:, theta._reps]
+    subdirect = len(_first_rows(classes.T)) == theta.num_blocks
 
     if not (fixed == rad == subdirect):
         raise EquivalenceViolation(

@@ -11,8 +11,10 @@ package ran before it kept a generating pair for each principal
 congruence; stone_report, the per-congruence, per-subset and per-pair
 loop that stone_demo ran before its array sweeps; term_pointwise, the
 pointwise evaluation that term parsing ran before it evaluated in F(n);
-and _c_rows, the sweep that computed C of every V mask before classify
-and stone read the radicals off the lattice.
+_c_rows, the sweep that computed C of every V mask before classify
+and stone read the radicals off the lattice; and radical_meet, the
+meet of point kernels that radical_of_partition ran before it became
+C of V.
 
 Run as a script to print the frozen constants used in the test suite.
 """
@@ -601,6 +603,18 @@ def join_irreducibles(reps):
         if not np.array_equal(join, rep):
             out.append(rep)
     return out
+
+
+def radical_meet(space, part):
+    """C(V(part)) as the meet of the point kernels of V(part), one point at
+    a time."""
+    from affinekit.core import Partition
+    from affinekit.galois import point_kernel, v_of_partition
+
+    acc = Partition.total(space.free.size)
+    for a in v_of_partition(space, part).points:
+        acc = acc.meet(point_kernel(space, a))
+    return acc
 
 
 def _c_rows(space, masks):

@@ -271,6 +271,33 @@ def test_cop_closure_null_json_match_frozen_digest(capsys, name):
     assert digest.hexdigest() == COP_CLOSURE_NULL_SHA256[name]
 
 
+# sha256 of "{exit code}\n{stdout}" over radical and null --json, each with
+# --pairs '' and --pairs 0,1, at arities 0..3; recorded from the
+# radical_of_partition that met the point kernels of V one point at a time
+RADICAL_NULL_SHA256 = {
+    "bool2": "afd3b6dc1e87688cd53033cb07b8dbf328b6c9be6a0aa98237cc0bdd5530d894",
+    "distlat2": "1701f4830067e2841028e3351e735f7a1341a23be67ffdbd6401dd4e85e56fd1",
+    "semilat2": "4276171704490c108cf632d9da605d4583190a505e0bc2d877bd39a8d93e6f14",
+    "z2": "c01b1bc24796515ae75990f36459e72518872e60c40f84c5ac0b8d063688cd66",
+    "z2-in-z4": "c01b1bc24796515ae75990f36459e72518872e60c40f84c5ac0b8d063688cd66",
+    "z4": "a4d92521edfca87ebaa360d45b362184c448797f28e72bcbbe3af59e1bd051f4",
+    "z4/z2-in-z4": "9fae775c43c65c63f340c185c61ef1c1e113288c64a2cfd3dad8322cc8fef35d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RADICAL_NULL_SHA256))
+def test_radical_null_json_match_frozen_digest(capsys, case):
+    gen, _, ground = case.partition("/")
+    digest = hashlib.sha256()
+    for arity in range(4):
+        for cmd in ("radical", "null"):
+            for pairs in ("", "0,1"):
+                code, out, _ = run(capsys, [cmd, "--builtin", gen, "--ground", ground or gen,
+                                            "--arity", str(arity), "--pairs", pairs, "--json"])
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == RADICAL_NULL_SHA256[case]
+
+
 @pytest.mark.parametrize("job", sorted(LATTICE_JSON_SHA256))
 def test_lattice_json_matches_frozen_digest(capsys, job):
     code, out, _ = run(capsys, job.split() + ["--json"])
@@ -499,6 +526,24 @@ def test_exit_domain_errors(capsys):
     assert run(capsys, ["vop", "--builtin", "bool2", "--equations", "xor(x0,x0)=x0"])[0] == 1
     assert run(capsys, ["vop", "--builtin", "bool2", "--equations", "and(x0)=x0"])[0] == 1
     assert run(capsys, ["vop", "--builtin", "bool2", "--equations", "and(x0,x5)=x0"])[0] == 1
+
+
+@pytest.mark.parametrize("arity", [64, 70])
+def test_operation_arity_above_63_is_a_usage_error(capsys, tmp_path, arity):
+    # numpy takes at most 63 index arrays and 64 dimensions; beyond that
+    # every command that builds F(n) used to fail with a numpy traceback
+    path = write_algebra(tmp_path, "wide", 1, {"f": (arity, (0,))})
+    for cmd in ("free", "stone", "classify", "zariski", "cop", "null", "radical",
+                "adjoint", "represent"):
+        assert run(capsys, [cmd, "--algebra", path, "--arity", "1"]) == (
+            2, "", f"error: arity {arity} of 'f' exceeds 63\n")
+
+
+def test_operation_arity_63_still_runs(capsys, tmp_path):
+    path = write_algebra(tmp_path, "wide", 1, {"f": (63, (0,))})
+    code, out, _ = run(capsys, ["free", "--algebra", path, "--arity", "1", "--json"])
+    assert code == 0
+    assert json.loads(out)["size"] == 1
 
 
 def test_exit_usage_errors(capsys, tmp_path):

@@ -372,3 +372,17 @@ def test_no_unique_over_an_axis_in_the_package():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "unique" and any(kw.arg == "axis" for kw in node.keywords)]
     assert calls == []
+
+
+def test_no_void_view_outside_row_keys():
+    # one helper per idiom: rows become byte keys only through core._row_keys
+    uses = []
+    for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(node) for func in ast.walk(tree) if path.name == "core.py"
+                  and isinstance(func, ast.FunctionDef) and func.name == "_row_keys"
+                  for node in ast.walk(func)}
+        uses += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "void"
+                 and id(node) not in helper]
+    assert uses == []

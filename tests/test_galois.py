@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from affinekit import core
+from affinekit import core, galois
+from affinekit.cli import main
 from affinekit.core import (
     DEFAULT_BUDGET,
     Homomorphism,
@@ -21,6 +22,7 @@ from affinekit.core import (
 from affinekit.errors import (
     AssertionFailure,
     BudgetExceeded,
+    EquivalenceViolation,
     NotInjective,
     ShapeMismatch,
     ValidationError,
@@ -175,7 +177,7 @@ def test_radical_z4_over_z2():
 
 
 def test_radical_agrees_with_closure_route():
-    # the meet-of-kernels route must equal direct C(V(.)) everywhere
+    # C(V(.)) must equal the meet of the point kernels over V(.) everywhere
     rng = random.Random(3)
     for gs in spaces():
         m = gs.free.size
@@ -184,11 +186,10 @@ def test_radical_agrees_with_closure_route():
         for _ in range(10):
             pairs = sorted({(rng.randrange(m), rng.randrange(m)) for _ in range(3)})
             r = Relation.of(gs, pairs)
-            assert radical(r) == c_operator(v_operator(r))
+            assert radical(r) == oracles.radical_meet(gs, galois.rel_closure(r))
         falg = gs.free.as_algebra()
         for theta in all_congruences(falg):
-            direct = c_operator(v_of_partition(gs, theta))
-            assert radical_of_partition(gs, theta) == direct
+            assert radical_of_partition(gs, theta) == oracles.radical_meet(gs, theta)
 
 
 PAIR_LISTS = st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=6)
@@ -316,6 +317,38 @@ def test_nullstellensatz_equivalence_everywhere(case, rng):
     for theta in rng.sample(cons, min(len(cons), 32)):
         rep = nullstellensatz_check(PresentedAlgebra(gs, theta))
         assert rep.fixed == rep.radical == rep.subdirect
+
+
+def test_nullstellensatz_check_takes_one_v_and_one_kernel_per_point():
+    # the three routes share one V(theta) and one point kernel per point of it
+    for gs in spaces():
+        for theta in all_congruences(gs.free.as_algebra()):
+            with mock.patch.object(galois, "v_of_partition", wraps=galois.v_of_partition) as v, \
+                    mock.patch.object(galois, "point_kernel", wraps=galois.point_kernel) as ker:
+                nullstellensatz_check(PresentedAlgebra(gs, theta))
+            assert v.call_count == 1
+            assert ker.call_count == len(galois.v_of_partition(gs, theta).points)
+
+
+FORCED_DISAGREEMENTS = {  # one route made wrong at a time
+    "fixed": lambda: mock.patch.object(
+        galois, "c_operator", lambda s: Partition.identity(s.space.free.size)),
+    "radical": lambda: mock.patch.object(
+        Partition, "meet", lambda self, other: Partition.identity(self.size)),
+    "subdirect": lambda: mock.patch.object(galois, "_first_rows", lambda rows: rows[:0]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FORCED_DISAGREEMENTS))
+def test_nullstellensatz_check_raises_when_one_route_disagrees(capsys, route):
+    gs = ground_space(z4(), z2(), 1)
+    good = Partition.from_pairs(4, [(0, 2), (1, 3)])  # fixed: x ~ 3x, 2x ~ 0
+    with FORCED_DISAGREEMENTS[route]():
+        with pytest.raises(EquivalenceViolation, match=f"{route}=False"):
+            nullstellensatz_check(PresentedAlgebra(gs, good))
+        code = main(["null", "--builtin", "z4", "--ground", "z2", "--pairs", "0,2"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("internal check failed: ")
 
 
 def test_nullstellensatz_empty_free_algebra():
