@@ -600,12 +600,26 @@ def _unary_translations(alg):
     pre = np.array([np.bincount(row, w, k) for row in rows]).reshape(m, k)
     fp = pre @ np.arange(k, dtype=np.float64)
     order = np.argsort(fp)
+    # owner[low bits of fp(i)] = i; m where no fingerprint has those bits and
+    # m + 1 where several do (fpx is NaN at both, equal to nothing): only
+    # values landing on m + 1 go through searchsorted
+    mask = (1 << (16 * m).bit_length()) - 1
+    low = fp.astype(np.int64) & mask
+    owner = np.full(mask + 1, m, dtype=np.int32)
+    owner[low] = np.arange(m)
+    owner[np.bincount(low, minlength=mask + 1) > 1] = m + 1
+    fpx = np.append(fp, [np.nan, np.nan])
     hits = [np.empty(0, dtype=np.int64)]  # (i*m + s)*m + t where fp(s o t) = fp(i)
     for lo in range(0, m, 64):
         comp = rows[lo:lo + 64].astype(np.float64) @ pre.T
-        at = order[np.searchsorted(fp[order], comp) % m]
-        s, t = np.nonzero(fp[at] == comp)
-        s, i = s + lo, at[s, t]
+        key = comp.astype(np.int64)
+        at = owner[np.bitwise_and(key, mask, out=key)]
+        s, t = np.nonzero(fpx[at] == comp)
+        i = at[s, t].astype(np.int64)
+        cs, ct = np.nonzero(at == m + 1)
+        ci = order[np.searchsorted(fp[order], comp[cs, ct]) % m]
+        found = fp[ci] == comp[cs, ct]
+        s, t, i = np.r_[s, cs[found]] + lo, np.r_[t, ct[found]], np.r_[i, ci[found]]
         hits.append(((i * m + s) * m + t)[(s != i) & (t != i)])
     hits = np.sort(np.concatenate(hits))
     bounds = np.searchsorted(hits, np.arange(m + 1) * m * m)
@@ -682,15 +696,14 @@ def _principals(alg, budget):
     Each new row is moved by every generator (acts[r, i]: row r moved by
     gens[i]), and an unknown image joins the rows with its pair moved. The
     pairs settled for b, and those they fill, are then pushed through every
-    generator until nothing new is filled. A FreeAlgebra gives its
+    generator a level at a time until nothing new is filled. A level keeps
+    one copy of each pair it fills by a scatter of marks into of_pair, with
+    no sort: every copy carries the same row. A FreeAlgebra gives its
     substitution automorphisms; a FiniteAlgebra gives none, the plain route."""
     k = alg.size
     images = alg._translations
-    gens = getattr(alg, "_automorphisms", np.empty((0, k), dtype=np.int64))
+    gens = getattr(alg, "_automorphisms", np.empty((0, k), dtype=np.int32))
     inverse, g = np.argsort(gens, axis=1), len(gens)
-    # moved[i, a*k + b]: the code of the pair (sigma_i a, sigma_i b), sorted
-    u, v = gens.astype(np.int32)[:, :, None], gens.astype(np.int32)[:, None, :]
-    moved = (np.minimum(u, v) * k + np.maximum(u, v)).reshape(g, k * k)
     reps, index = np.empty((0, k), dtype=np.int32), {}
     blocks = np.empty(0, dtype=np.int64)
     pairs = np.empty((0, 2), dtype=np.int64)
@@ -742,11 +755,16 @@ def _principals(alg, budget):
             acts = np.vstack([acts, ids.reshape(-1, g)])
         c = a * k + b
         while len(c):
-            code = moved[:, c].ravel()
-            fresh = of_pair[code] < 0
-            code, first = np.unique(code[fresh], return_index=True)
-            of_pair[code] = acts[of_pair[c]].T.ravel()[fresh][first]
-            c = code
+            # the pairs of c moved by every generator, as sorted codes
+            x, y = gens[:, c // k], gens[:, c % k]
+            code = (np.minimum(x, y) * k + np.maximum(x, y)).ravel()
+            fresh = np.flatnonzero(of_pair[code] < 0)
+            code, row = code[fresh], acts[of_pair[c]].T.ravel()[fresh]
+            # the copy of each pair whose mark stays goes on to the next level
+            mark = -2 - np.arange(len(code), dtype=np.int32)
+            of_pair[code] = mark
+            c = code[of_pair[code] == mark]
+            of_pair[code] = row
     return reps, pairs, of_pair
 
 

@@ -49,6 +49,7 @@ from .core import (
     _first_rows,
     _frozen,
     _row_keys,
+    _settle,
     _unary_translations,
     encode_point,
     format_term,
@@ -144,20 +145,40 @@ class FreeAlgebra:
 
     @cached_property
     def _automorphisms(self):
-        """Substitution automorphisms of F(n) as a read-only (g, size) table,
-        row i mapping p to sigma_i(p): of the transposition (x0 x1), the
-        n-cycle and x0 -> f(x0, x1, ..) for each basic operation f of arity
-        >= 1 (variables taken cyclically), replayed at once, those whose
-        tables are permutations other than the identity, once each."""
-        n, var = self.arity, np.array(self.var_positions, dtype=np.int64)
-        images = [var[[1, 0, *range(2, n)]] if n > 1 else var, np.roll(var, -1)] + [
-            np.r_[table[tuple(var[np.arange(r) % n])], var[1:]]
-            for (_, r), table in zip(self.signature.symbols, self._tables) if r and n]
-        tables = _replay(self, self, np.array(images, dtype=np.int64).T).T
-        ident = np.arange(self.size)
-        tables = tables[(np.sort(tables, axis=1) == ident).all(axis=1)
-                        & (tables != ident).any(axis=1)]
-        return _frozen(tables[_first_rows(tables)])
+        """Substitution automorphisms of F(n), invertible definable maps of
+        A^n, as a read-only int32 (g, size) table, row i mapping p to
+        sigma_i(p). First, once each and other than the identity, the
+        transposition (x0 x1), the n-cycle and x0 -> f(x0, x1, ..) for each
+        basic operation f of arity >= 1 (variables taken cyclically). Then,
+        for p in element order, each x0 -> p (x1.. fixed) that moves some
+        element out of its orbit under the rows kept so far.
+
+        All are replayed at once, column 2 + p being x0 -> p. Each permutes
+        the variables or fixes x1.., so it is onto, and then a permutation,
+        exactly when x0 is among its images. A row kept, or one that moved
+        nothing, moves nothing once more rows are kept."""
+        n, k = self.arity, self.size
+        if not n:  # F(0) holds constants alone, which every map fixes
+            return _frozen(np.empty((0, k), dtype=np.int32))
+        var, ident = np.array(self.var_positions), np.arange(k, dtype=np.int32)
+        subs = np.repeat(var[:, None], k + 2, axis=1)
+        subs[:, 0] = var[[1, 0, *range(2, n)]] if n > 1 else var
+        subs[:, 1], subs[0, 2:] = np.roll(var, -1), ident
+        out = _replay(self, self, subs)
+        ok = (out == var[0]).any(axis=0) & (out != ident[:, None]).any(axis=0)
+        fs = [table[tuple(var[np.arange(r) % n])]
+              for (_, r), table in zip(self.signature.symbols, self._tables) if r]
+        first = np.r_[0, 1, 2 + np.array(fs, dtype=np.int64)]
+        kept = out[:, first[ok[first]]].T
+        kept = [kept[_first_rows(kept)]]
+        rep = _settle(ident, np.tile(ident, len(kept[0])), kept[0].ravel())
+        while True:
+            # rep: the least member of each orbit of the rows kept so far
+            moves = np.flatnonzero(ok & (rep[out] != rep[:, None]).any(axis=0))
+            if not len(moves):
+                return _frozen(np.concatenate(kept).astype(np.int32))
+            kept.append(out[:, moves[0]][None])
+            rep = _settle(rep, ident, out[:, moves[0]])
 
 
 def _replay(free, target, images):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -443,6 +444,19 @@ def test_algebra_file_signature_order(capsys, tmp_path):
     # the same two term functions, but discovery honors the file's op order
     assert terms_f == ["x0", "add(x0, x0)"]
     assert terms_r == ["x0", "0"]
+
+
+@pytest.mark.parametrize("name, n, count", [("mv3", 1, 8), ("z3", 3, 28), ("chain3", 2, 16)])
+def test_three_element_algebra_files_are_fixed_throughout(capsys, name, n, count):
+    # Ł3, Z3 and the 3-element chain from tests/data: every congruence of
+    # F(n) is fixed, and there are as many closed sets
+    path = str(Path(__file__).parent / "data" / f"{name}.json")
+    argv = ["--algebra", path, "--arity", str(n), "--json"]
+    code, out, _ = run(capsys, ["classify", *argv])
+    entries = json.loads(out)["entries"]
+    assert code == 0 and len(entries) == count and all(e["fixed"] for e in entries)
+    code, out, _ = run(capsys, ["zariski", *argv])
+    assert code == 0 and json.loads(out)["count"] == count
 
 
 def test_ground_by_file(capsys, tmp_path):

@@ -17,6 +17,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from affinekit import core
+from affinekit.cli import parse_algebra_file
 from affinekit.core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -48,6 +50,9 @@ from affinekit.instances import builtin, list_builtins
 import oracles
 from test_clone import generators
 from test_core import _ops_dict
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def digest(obj):
@@ -354,9 +359,12 @@ def check_orbit_route(free_alg, drawn):
 
 
 @pytest.mark.parametrize("name, n", [(name, n) for name in list_builtins() for n in (1, 2, 3)]
-                         + [("distlat2", 4), ("z4", 4)])
+                         + [("distlat2", 4), ("z4", 4), ("mv3.json", 1), ("z3.json", 1),
+                            ("z3.json", 2), ("chain3.json", 1), ("chain3.json", 2)])
 def test_orbit_route_gives_the_plain_principals(name, n):
-    f = free_algebra(builtin(name), n)
+    # builtins, and Ł3, Z3 and the 3-element chain from tests/data
+    g = parse_algebra_file(DATA / name) if name.endswith(".json") else builtin(name)
+    f = free_algebra(g, n)
     rng = random.Random(f"{name}@{n}")
     check_orbit_route(f, [(rng.randrange(f.size), rng.randrange(f.size)) for _ in range(3)])
 

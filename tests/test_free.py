@@ -6,11 +6,13 @@ import pytest
 from affinekit.adjunction import AdjunctionReport, representability_check, verify_adjunction
 from affinekit.cli import main
 from affinekit.core import (
+    DEFAULT_BUDGET,
     App,
     FiniteAlgebra,
     Homomorphism,
     Var,
     _apply_all,
+    _principals,
     decode_point,
     evaluate_term,
     is_homomorphism,
@@ -35,6 +37,7 @@ from affinekit.free import (
     substitute,
     verify_ground,
 )
+from affinekit import free as free_module
 from affinekit.galois import AffineSubset, Relation, c_operator
 from affinekit.instances import builtin, classify_fixed, stone_demo
 
@@ -337,20 +340,30 @@ def test_substitute_basics():
 
 
 # automorphisms kept of F_g(n) from the transposition (x0 x1), the n-cycle
-# and x0 -> f(x0, x1, ..) for each basic operation f of arity >= 1
+# and x0 -> f(x0, x1, ..) for each basic operation f of arity >= 1, then
+# from the x0 -> p, p in element order, that each move an element out of its
+# orbit under those kept before: bool2 gains one at n = 2 and two at n = 3
 AUTOMORPHISM_COUNTS = {
-    ("bool2", 0): 0, ("bool2", 1): 1, ("bool2", 2): 2, ("bool2", 3): 3,
+    ("bool2", 0): 0, ("bool2", 1): 1, ("bool2", 2): 3, ("bool2", 3): 5,
     ("distlat2", 0): 0, ("distlat2", 1): 0, ("distlat2", 2): 1, ("distlat2", 3): 2,
     ("semilat2", 0): 0, ("semilat2", 1): 0, ("semilat2", 2): 1, ("semilat2", 3): 2,
     ("z2", 0): 0, ("z2", 1): 0, ("z2", 2): 2, ("z2", 3): 3,
     ("z2-in-z4", 0): 0, ("z2-in-z4", 1): 0, ("z2-in-z4", 2): 2, ("z2-in-z4", 3): 3,
     ("z4", 0): 0, ("z4", 1): 1, ("z4", 2): 3, ("z4", 3): 4, ("z4", 4): 4,
+    ("f0/0", 0): 0, ("f0/0", 1): 0, ("f0/0", 2): 1, ("f0/0", 3): 2,
+    ("one", 0): 0, ("one", 1): 0, ("one", 2): 0, ("one", 3): 0,
+}
+# a 2-element algebra with one constant, whose F(n) has only the variable
+# permutations, and a 1-element one, whose F(n) has one element
+TINY = {
+    "f0/0": lambda: FiniteAlgebra.make(2, [("f0", 0, (0,))]),
+    "one": lambda: FiniteAlgebra.make(1, [("f0", 2, (0,))]),
 }
 
 
 @pytest.mark.parametrize("name, n", sorted(AUTOMORPHISM_COUNTS))
 def test_substitution_automorphisms(name, n):
-    free = free_algebra(builtin(name), n)
+    free = free_algebra(TINY[name]() if name in TINY else builtin(name), n)
     sigma = free._automorphisms
     assert sigma.shape == (AUTOMORPHISM_COUNTS[name, n], free.size)
     assert free._automorphisms is sigma and not sigma.flags.writeable
@@ -362,6 +375,48 @@ def test_substitution_automorphisms(name, n):
         assert np.array_equal(substitute(free, every, s[list(free.var_positions)], free), s)
         for (_, r), table in zip(free.signature.symbols, free._tables):
             assert np.array_equal(s[table], _apply_all(table, s, r))
+
+
+def orbit_counts(free, sigma):
+    """(element orbits, principal orbits) of F(n) under the group the rows
+    of sigma generate; principals from the plain route of the as_algebra()
+    copy, sigma moving Cg(a, b) to Cg(sigma a, sigma b)."""
+    k, sigma = free.size, sigma.astype(np.int64)
+    reps, _, of_pair = _principals(free.as_algebra(), DEFAULT_BUDGET)
+    a, b = np.triu_indices(k, 1)
+    u, v = sigma[:, a], sigma[:, b]
+    moved = of_pair[np.minimum(u, v) * k + np.maximum(u, v)].ravel()
+    elements = zip(np.tile(np.arange(k), len(sigma)).tolist(), sigma.ravel().tolist())
+    principals = zip(np.tile(of_pair[a * k + b], len(sigma)).tolist(), moved.tolist())
+    return (len(set(oracles.closure_labels(k, set(elements)))),
+            len(set(oracles.closure_labels(len(reps), set(principals)))))
+
+
+# (element orbits, principal orbits) of F_g(n) under the group of the first
+# g rows of _automorphisms: all of them, and for bool2 also the
+# transposition, the n-cycle and the x0 -> f(x0, ..) alone
+ORBIT_COUNTS = {
+    ("bool2", 2, 3): (5, 4), ("bool2", 3, 5): (9, 8), ("z4", 3, 4): (3, 2),
+    ("distlat2", 3, 2): (10, 36), ("semilat2", 4, 2): (4, 13), ("z2", 3, 3): (2, 1),
+    ("bool2", 2, 2): (6, 5), ("bool2", 3, 3): (22, 21),
+}
+
+
+@pytest.mark.parametrize("name, n, g", sorted(ORBIT_COUNTS))
+def test_orbit_counts_of_the_substitution_group(name, n, g):
+    free = free_algebra(builtin(name), n)
+    assert orbit_counts(free, free._automorphisms[:g]) == ORBIT_COUNTS[name, n, g]
+
+
+@pytest.mark.parametrize("name, n", [("bool2", 3), ("z4", 4), ("semilat2", 0)])
+def test_automorphisms_replay_once(monkeypatch, name, n):
+    # every candidate substitution goes through one _replay
+    f = free_algebra(builtin(name), n)
+    want, calls, replay = f._automorphisms, [], free_module._replay
+    monkeypatch.setattr(free_module, "_replay", lambda *a: calls.append(a) or replay(*a))
+    fresh = FreeAlgebra(f.generator, n, f.elements, f.var_positions, f._recipes, f._tables)
+    np.testing.assert_array_equal(fresh._automorphisms, want)
+    assert len(calls) == (1 if n else 0)
 
 
 def test_table_matrix_and_index_are_built_when_first_read():
